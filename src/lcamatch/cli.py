@@ -9,6 +9,12 @@ Usage:
 All commands are deterministic given explicit seeds; when neither --rng-seed
 nor --seed-blob is given, the LCAMATCH_RNG_SEED environment variable is the
 fallback, then 0.  Answers go to stdout; --verbose diagnostics go to stderr.
+
+Work counters (query --verbose, bench records): ``f`` counts augmenting-path
+checks, the budgeted unit.  ``closures`` is the number of greedy-MIS
+decisions computed for augmenting paths; each decision's size is 1 plus the
+lower-ranked augmenting neighbours it scanned before it was settled, and
+``max_closure``, ``relevant_mean`` and ``relevant_max`` summarize those sizes.
 """
 
 from __future__ import annotations
@@ -146,12 +152,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 else picker.sample(edges, args.queries)
             )
             fs: list[int] = []
-            closure_sizes: list[int] = []
+            decision_sizes: list[int] = []
             for e in sample:
                 probe.query(e)
                 assert probe.last_stats is not None
                 fs.append(probe.last_stats.f)
-                closure_sizes.extend(probe.last_stats.relevant_set_sizes)
+                decision_sizes.extend(probe.last_stats.relevant_set_sizes)
             full = Engine(g, k=k, seeds=seeds, budget=args.budget)
             matching = full.materialize()
             valid = verify_matching(g, matching)
@@ -171,9 +177,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "f_mean": round(statistics.fmean(fs), 3) if fs else 0.0,
                 "f_max": max(fs, default=0),
                 "relevant_mean": (
-                    round(statistics.fmean(closure_sizes), 3) if closure_sizes else 0.0
+                    round(statistics.fmean(decision_sizes), 3) if decision_sizes else 0.0
                 ),
-                "relevant_max": max(closure_sizes, default=0),
+                "relevant_max": max(decision_sizes, default=0),
             }
             if args.format == "records":
                 print(json.dumps(record, sort_keys=True))
@@ -211,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--eps", type=float, required=True, help="approximation slack")
     q.add_argument("--edge", type=_edge_arg, required=True, help="edge as 'u v'")
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    q.add_argument("--verbose", action="store_true", help="stats on stderr")
+    q.add_argument("--verbose", action="store_true",
+                   help="work counters on stderr: f, f per phase, MIS decisions "
+                        "(closures) and the largest decision size (max_closure)")
     _add_seed_flags(q)
     q.set_defaults(func=cmd_query)
 
@@ -223,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_flags(m)
     m.set_defaults(func=cmd_materialize)
 
-    b = sub.add_parser("bench", help="random-graph trials with per-query stats")
+    b = sub.add_parser(
+        "bench",
+        help="random-graph trials with per-query stats: f_mean/f_max, and "
+             "relevant_mean/relevant_max over MIS decision sizes",
+    )
     b.add_argument("--n", type=_int_list, required=True, help="comma list of sizes")
     b.add_argument("--d", type=int, required=True, help="degree bound")
     b.add_argument("--eps", type=float, required=True)

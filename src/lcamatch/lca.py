@@ -10,13 +10,13 @@ matching to within ``1 - 1/k`` of maximum.
 
 The engine answers per-edge membership queries against that final matching
 without ever materializing it.  A membership query recurses through the
-phases; deciding whether a path was picked by phase ``ell`` explores only the
-part of the phase's conflict graph that can influence the greedy choice at
-that path, namely the closure under "intersecting augmenting path of lower
-rank".  Running the same greedy rule on that closed subgraph reproduces the
-global decision exactly, so query answers across edges are mutually
-consistent: they all describe one fixed matching determined by the graph and
-the seeds.
+phases.  Whether phase ``ell`` picked an augmenting path ``p`` is decided by
+the lazy greedy rule of Nguyen and Onak: ``p`` is picked iff none of the
+augmenting paths that share a vertex with it and rank below it was picked.
+Those neighbours are decided recursively in ascending rank, and the first one
+found picked settles ``p`` as not picked.  This is exactly the global greedy
+decision, so query answers across edges are mutually consistent: they all
+describe one fixed matching determined by the graph and the seeds.
 
 Work is bounded by a per-query budget on augmenting-path checks.  A query
 that would exceed the budget raises :class:`BudgetExceededError` rather than
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -60,8 +59,9 @@ class Stats:
 
     ``f`` counts augmenting-path checks (the budgeted unit of work),
     ``f_by_phase`` splits the count by phase length, and
-    ``relevant_set_sizes`` records the node count of every conflict-subgraph
-    closure built during the query.
+    ``relevant_set_sizes`` has one entry per greedy-MIS decision computed for
+    an augmenting path during the query: 1 plus the number of lower-ranked
+    augmenting neighbours that decision scanned.
     """
 
     f: int = 0
@@ -75,9 +75,9 @@ class ConflictSubgraph:
     """A fragment of one phase's conflict graph.
 
     Nodes are augmenting paths of the phase length; edges join paths sharing
-    a vertex.  For closures built by the engine, every non-root node has a
-    higher-ranked neighbor inside the fragment, which is exactly the property
-    that makes the local greedy run agree with the global one.
+    a vertex.  The engine never builds one: it is the explicit form that the
+    global reference run in :mod:`lcamatch.oracles` hands to
+    :func:`greedy_mis`.
     """
 
     nodes: frozenset[PathKey]
@@ -89,9 +89,6 @@ class ConflictSubgraph:
             adj[a].add(b)
             adj[b].add(a)
         return adj
-
-
-_EMPTY_SUBGRAPH = ConflictSubgraph(frozenset(), frozenset())
 
 
 def intersection_edges(nodes: Iterable[PathKey]) -> frozenset[tuple[PathKey, PathKey]]:
@@ -153,9 +150,6 @@ class Engine:
         ``"shared"`` keeps memoized answers across queries, ``"per_query"``
         clears them at each public call, ``"off"`` disables memoization.
         All three modes return identical answers.
-    order_mode:
-        ``"kwise"`` for the polynomial ordering, ``"random"`` for the keyed
-        hash ordering; only used when ``seeds`` is not given.
     """
 
     def __init__(
@@ -168,7 +162,6 @@ class Engine:
         rng_seed: int | None = None,
         budget: int = DEFAULT_BUDGET,
         cache_mode: str = "shared",
-        order_mode: str = "kwise",
     ) -> None:
         if (eps is None) == (k is None):
             raise ValueError("provide exactly one of eps and k")
@@ -186,7 +179,6 @@ class Engine:
                 max(2, graph.vertex_count),
                 max(1, graph.degree_bound),
                 0 if rng_seed is None else rng_seed,
-                mode=order_mode,
             )
         else:
             if seeds.n != max(2, graph.vertex_count):
@@ -226,21 +218,6 @@ class Engine:
         """Whether phase ``ell`` picked ``p`` into its independent set."""
         p = self._check_path(p, ell)
         return self._run(lambda: self._path_in_mis(p, ell))
-
-    def relevant_paths(
-        self, p: PathKey, ell: int, exploration: str = "bfs"
-    ) -> ConflictSubgraph:
-        """The closed conflict-subgraph fragment that decides ``p``.
-
-        Starting from ``p``, repeatedly adds any augmenting path that
-        intersects a collected one and precedes it in rank, then induces all
-        intersection edges among collected nodes.  ``exploration`` picks the
-        worklist discipline; the result is the same fixpoint either way.
-        """
-        if exploration not in ("bfs", "dfs"):
-            raise ValueError(f"unknown exploration order {exploration!r}")
-        p = self._check_path(p, ell)
-        return self._run(lambda: self._relevant(p, ell, exploration))
 
     def is_augmenting_path(self, p: PathKey, ell: int) -> bool:
         """Whether ``p`` augments the matching left by phase ``ell - 2``."""
@@ -331,40 +308,28 @@ class Engine:
         cached = self._memo.get(key) if self.cache_mode != "off" else None
         if cached is not None:
             return cached
-        sub = self._relevant(p, ell, "bfs")
-        if p not in sub.nodes:
-            res = False
-            if self.cache_mode != "off":
-                self._memo[key] = res
-            return res
-        chosen = greedy_mis(sub, self.rank_key(ell))
-        res = p in chosen
+        res = self._augmenting(p, ell)
+        if res:
+            rank_key = self.rank_key(ell)
+            p_rank = rank_key(p)
+            lower = [
+                q
+                for q in iter_intersecting(self.graph, p)
+                if self._augmenting(q, ell) and rank_key(q) < p_rank
+            ]
+            lower.sort(key=rank_key)
+            # Greedy takes p unless a lower-ranked neighbour was taken first.
+            # Deciding the lowest-ranked neighbours first keeps chains short.
+            scanned = 0
+            for q in lower:
+                scanned += 1
+                if self._path_in_mis(q, ell):
+                    res = False
+                    break
+            self._stats.relevant_set_sizes.append(1 + scanned)
         if self.cache_mode != "off":
-            # The closure is downward complete, so the local greedy decision
-            # is the global one for every collected node, not only the root.
-            for q in sub.nodes:
-                self._memo[("i", q, ell)] = q in chosen
+            self._memo[key] = res
         return res
-
-    def _relevant(self, root: PathKey, ell: int, exploration: str) -> ConflictSubgraph:
-        if not self._augmenting(root, ell):
-            return _EMPTY_SUBGRAPH
-        rank_key = self.rank_key(ell)
-        members: set[PathKey] = {root}
-        worklist: deque[PathKey] = deque([root])
-        while worklist:
-            cur = worklist.popleft() if exploration == "bfs" else worklist.pop()
-            cur_rank = rank_key(cur)
-            for q in iter_intersecting(self.graph, cur):
-                if q in members:
-                    continue
-                if not self._augmenting(q, ell):
-                    continue
-                if rank_key(q) < cur_rank:
-                    members.add(q)
-                    worklist.append(q)
-        self._stats.relevant_set_sizes.append(len(members))
-        return ConflictSubgraph(frozenset(members), intersection_edges(members))
 
     def _augmenting(self, p: PathKey, ell: int) -> bool:
         stats = self._stats

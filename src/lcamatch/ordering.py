@@ -26,7 +26,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .paths import PathKey
 
@@ -54,6 +53,41 @@ MERSENNE_61 = (1 << 61) - 1
 _VECTOR_MOD_LIMIT = 1 << 31
 
 _FOLD_MULT = 0x9E3779B97F4A7C15
+
+# Miller-Rabin with these witnesses is exact for every n below 3.3 * 10**24,
+# which covers all moduli drawn here (below 2^61).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(x: int) -> int:
+    """Smallest prime strictly greater than ``x``."""
+    n = x + 1
+    while not _is_prime(n):
+        n += 1
+    return n
 
 
 def _ceil_log2(x: int) -> int:
@@ -195,7 +229,7 @@ def init_seeds(
         n_dom = n ** (ell + 1)
         copy_count = 4 * _ceil_log2(n_dom)
         if n_dom < (1 << 61):
-            modulus = int(sympy.nextprime(n_dom))
+            modulus = _next_prime(n_dom)
         else:
             modulus = MERSENNE_61
         copies = tuple(
@@ -286,28 +320,51 @@ def seedset_to_blob(seeds: SeedSet) -> str:
     return zlib.compress(raw, level=6).hex()
 
 
+def _malformed(why: str) -> ValueError:
+    return ValueError(f"malformed seed blob: {why}")
+
+
+def _phase_from_blob(mode: str, entry) -> PhaseSeed:
+    if mode == "kwise":
+        return Seed(
+            int(entry["base"]),
+            int(entry["length"]),
+            int(entry["modulus"]),
+            tuple(tuple(int(x) for x in c) for c in entry["copies"]),
+        )
+    return RandomSeed(
+        int(entry["base"]), int(entry["length"]), bytes.fromhex(entry["key"])
+    )
+
+
 def seedset_from_blob(blob: str) -> SeedSet:
-    """Inverse of :func:`seedset_to_blob`."""
+    """Inverse of :func:`seedset_to_blob`; any malformed blob is a ValueError."""
     try:
         raw = zlib.decompress(bytes.fromhex(blob))
         payload = json.loads(raw)
     except (ValueError, zlib.error) as exc:
-        raise ValueError(f"malformed seed blob: {exc}") from None
+        raise _malformed(str(exc)) from None
+    if not isinstance(payload, dict):
+        raise _malformed("payload is not an object")
     if payload.get("version") != _BLOB_VERSION:
         raise ValueError(f"unsupported seed blob version {payload.get('version')!r}")
-    mode = payload["mode"]
+    mode = payload.get("mode")
+    if mode not in ("kwise", "random"):
+        raise _malformed(f"missing or unknown mode {mode!r}")
+    for name in ("k", "n"):
+        if type(payload.get(name)) is not int:
+            raise _malformed(f"missing or mistyped {name!r}")
+    entries = payload.get("phases")
+    if not isinstance(entries, dict):
+        raise _malformed("missing or mistyped 'phases'")
     phases: dict[int, PhaseSeed] = {}
-    for key, entry in payload["phases"].items():
-        ell = int(key)
-        if mode == "kwise":
-            phases[ell] = Seed(
-                int(entry["base"]),
-                int(entry["length"]),
-                int(entry["modulus"]),
-                tuple(tuple(int(x) for x in c) for c in entry["copies"]),
-            )
-        else:
-            phases[ell] = RandomSeed(
-                int(entry["base"]), int(entry["length"]), bytes.fromhex(entry["key"])
-            )
-    return SeedSet(int(payload["k"]), int(payload["n"]), mode, phases)
+    for key, entry in entries.items():
+        try:
+            ell = int(key)
+            seed = _phase_from_blob(mode, entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(f"phase {key!r}: {exc!r}") from None
+        if seed.length != ell:
+            raise _malformed(f"phase {key!r} has length {seed.length}")
+        phases[ell] = seed
+    return SeedSet(payload["k"], payload["n"], mode, phases)

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import pytest
 
@@ -181,3 +182,13 @@ def test_garbage_seed_blob(p4_file, capsys):
                "--edge", "0 1", "--seed-blob", "zz"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_seed_blob_missing_mode_is_an_error_not_a_traceback(p4_file, capsys):
+    blob = zlib.compress(b'{"version":1,"k":1,"n":4}').hex()
+    rc = main(["query", "--graph", p4_file, "--eps", "0.5",
+               "--edge", "0 1", "--seed-blob", blob])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcamatch.graph import gen_random_bounded
 from lcamatch.lca import (
@@ -91,9 +93,10 @@ def test_p4_flip_trace_with_rigged_seed():
     assert eng.is_path_in_mis(PathKey((0, 1, 2, 3)), 3) is True
 
 
-def test_relevant_paths_rank_chain_on_p5():
-    # order (1,2) < (2,3) < (0,1) < (3,4): from root (2,3) only (1,2) is
-    # collected, and (0,1) stays out because its rank exceeds its neighbors'
+def test_path_in_mis_rank_chain_on_p5():
+    # order (1,2) < (2,3) < (0,1) < (3,4): (1,2) is taken first, which
+    # blocks (2,3) and (0,1); (3,4)'s only lower neighbour (2,3) is out,
+    # so (3,4) is taken
     g = path_graph(5)
     e01, e12, e23, e34 = (PathKey((i, i + 1)) for i in range(4))
 
@@ -104,14 +107,14 @@ def test_relevant_paths_rank_chain_on_p5():
 
     seed_int = find_order_seed(wanted)
     eng = Engine(g, k=2, seeds=init_seeds(2, 5, 2, seed_int))
-    sub = eng.relevant_paths(e23, 1)
-    assert sub.nodes == {e23, e12}
-    assert sub.edges == {(e12, e23)}
+    assert [eng.is_path_in_mis(p, 1) for p in (e01, e12, e23, e34)] == [
+        False, True, False, True,
+    ]
 
 
-def test_relevant_paths_non_augmenting_root_is_empty():
+def test_path_in_mis_non_augmenting_root_is_out():
     # when phase 1 already matched the end edges of P4, the full path fails
-    # the alternation pattern at phase 3 and contributes nothing
+    # the alternation pattern at phase 3 and cannot be picked
     g = path_graph(4)
     e01, e12, e23 = PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))
 
@@ -123,51 +126,7 @@ def test_relevant_paths_non_augmenting_root_is_empty():
     eng = Engine(g, k=2, seeds=init_seeds(2, 4, 2, find_order_seed(middle_not_first)))
     root = PathKey((0, 1, 2, 3))
     assert eng.is_augmenting_path(root, 3) is False
-    sub = eng.relevant_paths(root, 3)
-    assert sub.nodes == frozenset() and sub.edges == frozenset()
-
-
-def test_relevant_paths_closure_invariants():
-    rng = random.Random(5)
-    checked = 0
-    for gi in range(6):
-        n = rng.randrange(6, 14)
-        d = rng.randrange(2, 5)
-        g = gen_random_bounded(n, d, 700 + gi)
-        if g.edge_count == 0:
-            continue
-        eng = Engine(g, k=2, rng_seed=gi)
-        key = eng.rank_key(1)
-        for e in g.sorted_edges()[:6]:
-            root = PathKey(e)
-            sub = eng.relevant_paths(root, 1)
-            assert root in sub.nodes
-            adj = sub.adjacency()
-            for node in sub.nodes:
-                if node == root:
-                    continue
-                # every collected node entered through a higher-ranked neighbor
-                assert any(key(nb) > key(node) for nb in adj[node])
-            for a, b in sub.edges:
-                assert set(a) & set(b)
-            checked += 1
-    assert checked >= 20
-
-
-def test_relevant_paths_bfs_equals_dfs():
-    rng = random.Random(6)
-    for gi in range(5):
-        n = rng.randrange(6, 14)
-        g = gen_random_bounded(n, 3, 800 + gi)
-        if g.edge_count == 0:
-            continue
-        eng = Engine(g, k=2, rng_seed=gi)
-        for e in g.sorted_edges()[:5]:
-            for ell in (1, 3):
-                for p in paths_through_edge(g, e, ell)[:3]:
-                    a = eng.relevant_paths(p, ell, exploration="bfs")
-                    b = eng.relevant_paths(p, ell, exploration="dfs")
-                    assert a == b
+    assert eng.is_path_in_mis(root, 3) is False
 
 
 def test_greedy_mis_toy_orders():
@@ -357,8 +316,6 @@ def test_engine_validation():
         eng.is_augmenting_path(PathKey((0, 1)), 3)
     with pytest.raises(ValueError, match="out of range"):
         eng.is_free(9, 1)
-    with pytest.raises(ValueError, match="exploration"):
-        eng.relevant_paths(PathKey((0, 1)), 1, exploration="random-walk")
 
 
 def test_engine_seed_compatibility():
@@ -378,3 +335,45 @@ def test_eps_to_k_rounding():
     assert Engine(g, eps=0.5).k == 2
     assert Engine(g, eps=1 / 3).k == 3
     assert Engine(g, eps=0.4).k == 3
+
+
+@st.composite
+def engine_cases(draw):
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    cache_modes = ("shared", "per_query", "off") if k <= 2 else ("shared", "per_query")
+    return (
+        gen_random_bounded(n, d, draw(st.integers(0, 10**6))),
+        k,
+        draw(st.sampled_from(("kwise", "random"))),
+        draw(st.sampled_from(cache_modes)),
+        draw(st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+def test_materialize_matches_global_reference(case):
+    g, k, order, cache_mode, rng_seed = case
+    ss = init_seeds(k, g.vertex_count, g.degree_bound, rng_seed, mode=order)
+    eng = Engine(g, k=k, seeds=ss, cache_mode=cache_mode)
+    assert eng.materialize() == abstract_distributed_mm(g, k, ss)
+
+
+def test_per_query_refusals_do_not_depend_on_query_order():
+    g = gen_random_bounded(1024, 3, 2024)
+    ss = init_seeds(3, 1024, 3, 11)
+    edges = random.Random(12).sample(g.sorted_edges(), 80)
+    refused_sets = []
+    for order in (edges, edges[::-1]):
+        eng = Engine(g, k=3, seeds=ss, cache_mode="per_query", budget=3000)
+        refused = set()
+        for e in order:
+            try:
+                eng.query(e)
+            except BudgetExceededError:
+                refused.add(e)
+        refused_sets.append(refused)
+    assert refused_sets[0] == refused_sets[1]
+    assert 0 < len(refused_sets[0]) < len(edges)

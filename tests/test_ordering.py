@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 import random
+import zlib
 
 import pytest
 import sympy
 
 from lcamatch.graph import gen_random_bounded
 from lcamatch.ordering import (
+    _next_prime,
     RandomSeed,
     Seed,
     encode_path,
@@ -191,3 +194,60 @@ def test_blob_rejects_garbage():
         seedset_from_blob("zz")
     with pytest.raises(ValueError, match="malformed"):
         seedset_from_blob("00ff00")
+
+
+def test_next_prime_matches_sympy_on_every_seed_domain():
+    for ell in (1, 3, 5):
+        for n in range(2, 4097):
+            x = n ** (ell + 1)
+            if x >= 1 << 61:
+                break
+            assert _next_prime(x) == sympy.nextprime(x), (n, ell)
+
+
+def test_next_prime_matches_sympy_on_random_values():
+    rng = random.Random(2013)
+    for bits in range(2, 62):
+        for _ in range(20):
+            x = rng.randrange(1 << (bits - 1), 1 << bits)
+            assert _next_prime(x) == sympy.nextprime(x), x
+
+
+def _blob_of(payload) -> str:
+    return zlib.compress(json.dumps(payload).encode("ascii")).hex()
+
+
+def _good_payload(mode: str = "kwise") -> dict:
+    ss = init_seeds(2, 6, 2, 3, mode=mode)
+    return json.loads(zlib.decompress(bytes.fromhex(seedset_to_blob(ss))))
+
+
+def _edit(mode, fn):
+    payload = _good_payload(mode)
+    fn(payload)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2, 3],
+        {"version": 1, "k": 1, "n": 4},
+        _edit("kwise", lambda p: p.update(mode=3)),
+        _edit("kwise", lambda p: p.update(mode="bogus")),
+        _edit("kwise", lambda p: p.pop("k")),
+        _edit("kwise", lambda p: p.update(k="2")),
+        _edit("kwise", lambda p: p.pop("n")),
+        _edit("kwise", lambda p: p.update(n=6.0)),
+        _edit("kwise", lambda p: p.pop("phases")),
+        _edit("kwise", lambda p: p.update(phases=[])),
+        _edit("kwise", lambda p: p["phases"]["1"].pop("copies")),
+        _edit("kwise", lambda p: p["phases"].update({"1": "seed"})),
+        _edit("kwise", lambda p: p["phases"]["3"].update(length=1)),
+        _edit("random", lambda p: p["phases"]["1"].pop("key")),
+        _edit("random", lambda p: p["phases"]["3"].update(length=5)),
+    ],
+)
+def test_blob_rejects_malformed_payload(payload):
+    with pytest.raises(ValueError, match="malformed seed blob"):
+        seedset_from_blob(_blob_of(payload))

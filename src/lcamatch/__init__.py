@@ -10,7 +10,6 @@ from .lca import (
     greedy_mis,
 )
 from .ordering import (
-    RandomSeed,
     Seed,
     SeedSet,
     init_seeds,
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "greedy_mis",
     "Seed",
-    "RandomSeed",
     "SeedSet",
     "init_seeds",
     "rank",

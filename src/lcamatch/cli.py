@@ -29,7 +29,7 @@ import sys
 from .graph import GraphFormatError, gen_random_bounded, load_graph
 from .lca import DEFAULT_BUDGET, BudgetExceededError, Engine
 from .oracles import find_augmenting_path, verify_matching
-from .ordering import init_seeds, seedset_from_blob
+from .ordering import seedset_from_blob
 from .querytree import tail_ccdf
 
 
@@ -140,10 +140,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             graph_seed = base * 1_000_003 + n * 1_009 + trial
             order_seed = graph_seed + 1
             g = gen_random_bounded(n, args.d, graph_seed)
-            k = Engine(g, eps=args.eps, rng_seed=0).k
-            seeds = init_seeds(k, max(2, n), max(1, args.d), order_seed)
-            probe = Engine(g, k=k, seeds=seeds, budget=args.budget,
+            probe = Engine(g, eps=args.eps, rng_seed=order_seed, budget=args.budget,
                            cache_mode="per_query")
+            k = probe.k
             edges = g.sorted_edges()
             picker = random.Random(order_seed)
             sample = (
@@ -158,7 +157,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 assert probe.last_stats is not None
                 fs.append(probe.last_stats.f)
                 decision_sizes.extend(probe.last_stats.relevant_set_sizes)
-            full = Engine(g, k=k, seeds=seeds, budget=args.budget)
+            full = Engine(g, k=k, seeds=probe.seeds, budget=args.budget)
             matching = full.materialize()
             valid = verify_matching(g, matching)
             record = {

@@ -108,7 +108,7 @@ def intersection_edges(nodes: Iterable[PathKey]) -> frozenset[tuple[PathKey, Pat
     return frozenset(out)
 
 
-def greedy_mis(subgraph: ConflictSubgraph, rank_key: RankKey) -> set[PathKey]:
+def greedy_mis(subgraph: ConflictSubgraph, key: RankKey) -> set[PathKey]:
     """Greedy maximal independent set under the given total order.
 
     Nodes are visited in ascending rank; a node joins the set unless a
@@ -117,7 +117,7 @@ def greedy_mis(subgraph: ConflictSubgraph, rank_key: RankKey) -> set[PathKey]:
     """
     adj = subgraph.adjacency()
     chosen: set[PathKey] = set()
-    for node in sorted(subgraph.nodes, key=rank_key):
+    for node in sorted(subgraph.nodes, key=key):
         if all(nb not in chosen for nb in adj[node]):
             chosen.add(node)
     return chosen
@@ -139,6 +139,10 @@ class Engine:
         The bounded-degree input graph.
     eps, k:
         Approximation target; give exactly one.  ``k = ceil(1 / eps)``.
+        ``k`` is clamped to ``max(1, n // 2)`` for an ``n``-vertex graph: a
+        phase longer than ``n - 1`` has no simple path and changes nothing,
+        so the matching is the same and phase probes stop at the clamped
+        ``2k - 1``.
     seeds:
         Optional pre-built :class:`~lcamatch.ordering.SeedSet`; must cover
         every phase and match the graph's vertex count.
@@ -169,16 +173,14 @@ class Engine:
             k = _k_from_eps(eps)  # type: ignore[arg-type]
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
+        k = min(k, max(1, graph.vertex_count // 2))
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
         if cache_mode not in ("shared", "per_query", "off"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
         if seeds is None:
             seeds = init_seeds(
-                k,
-                max(2, graph.vertex_count),
-                max(1, graph.degree_bound),
-                0 if rng_seed is None else rng_seed,
+                k, max(2, graph.vertex_count), 0 if rng_seed is None else rng_seed
             )
         else:
             if seeds.n != max(2, graph.vertex_count):
@@ -194,7 +196,7 @@ class Engine:
         self.cache_mode = cache_mode
         self.last_stats: Stats | None = None
         self._memo: dict[tuple, bool] = {}
-        self._ranks: dict[tuple[int, PathKey], tuple[int, ...]] = {}
+        self._ranks: dict[PathKey, tuple[int, ...]] = {}
         self._stats = Stats()
 
     # -- public query surface -------------------------------------------
@@ -230,21 +232,6 @@ class Engine:
             raise ValueError(f"vertex {v} out of range")
         self._check_phase(ell, allow_base=False)
         return self._run(lambda: self._free(v, ell))
-
-    def rank_key(self, ell: int) -> RankKey:
-        """The total order used by phase ``ell``, as a sort key function."""
-        self._check_phase(ell, allow_base=False)
-        seed = self.seeds.phase(ell)
-        cache = self._ranks
-
-        def key(p: PathKey) -> tuple[int, ...]:
-            t = cache.get((ell, p))
-            if t is None:
-                t = rank(p, seed)
-                cache[(ell, p)] = t
-            return t
-
-        return key
 
     # -- validation -------------------------------------------------------
 
@@ -303,6 +290,14 @@ class Engine:
             self._memo[key] = res
         return res
 
+    def _rank(self, p: PathKey) -> tuple[int, ...]:
+        # A path's length is its phase, so the path alone keys the cache.
+        t = self._ranks.get(p)
+        if t is None:
+            t = rank(p, self.seeds.phases[p.length])
+            self._ranks[p] = t
+        return t
+
     def _path_in_mis(self, p: PathKey, ell: int) -> bool:
         key = ("i", p, ell)
         cached = self._memo.get(key) if self.cache_mode != "off" else None
@@ -310,14 +305,14 @@ class Engine:
             return cached
         res = self._augmenting(p, ell)
         if res:
-            rank_key = self.rank_key(ell)
-            p_rank = rank_key(p)
+            rank_of = self._rank
+            p_rank = rank_of(p)
             lower = [
                 q
                 for q in iter_intersecting(self.graph, p)
-                if self._augmenting(q, ell) and rank_key(q) < p_rank
+                if self._augmenting(q, ell) and rank_of(q) < p_rank
             ]
-            lower.sort(key=rank_key)
+            lower.sort(key=rank_of)
             # Greedy takes p unless a lower-ranked neighbour was taken first.
             # Deciding the lowest-ranked neighbours first keeps chains short.
             scanned = 0

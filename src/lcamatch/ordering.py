@@ -9,35 +9,28 @@ and concatenate one low-order bit per polynomial into the primary rank.  Any
 ``kappa`` distinct evaluation points of one polynomial are jointly uniform
 over the field, which is what the query-locality analysis needs, and the bit
 width makes rank collisions rare; remaining ties are broken by canonical-key
-order, so the result is a strict total order.
-
-A second mode replaces the polynomials with a keyed hash, giving a
-full-random ordering with the same interface.  It exists for differential
-testing against the structured construction.
+order, so the result is a strict total order.  The field, the copy count and
+``kappa`` depend only on ``n`` and the phase length, so a seed is fully
+described by its coefficients.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
 import zlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .paths import PathKey
 
 __all__ = [
     "Seed",
-    "RandomSeed",
     "SeedSet",
     "init_seeds",
     "encode_path",
     "eval_poly",
     "primary_rank",
-    "primary_ranks",
     "rank",
     "precedes",
     "seedset_to_blob",
@@ -48,9 +41,6 @@ __all__ = [
 # field; path encodings are then folded into the field, a documented
 # heuristic that trades exact injectivity for cheap arithmetic.
 MERSENNE_61 = (1 << 61) - 1
-
-# Fields smaller than this make int64 Horner evaluation overflow-safe.
-_VECTOR_MOD_LIMIT = 1 << 31
 
 _FOLD_MULT = 0x9E3779B97F4A7C15
 
@@ -158,89 +148,53 @@ class Seed:
         return bits
 
 
-@dataclass(frozen=True)
-class RandomSeed:
-    """Per-phase seed for the keyed-hash (full-random) ordering."""
-
-    base: int
-    length: int
-    key: bytes
-
-    @property
-    def bit_width(self) -> int:
-        return 128
-
-    def rank_of_encoding(self, x: int) -> int:
-        data = x.to_bytes((x.bit_length() + 7) // 8 or 1, "little")
-        digest = hashlib.blake2b(data, key=self.key, digest_size=16).digest()
-        return int.from_bytes(digest, "little")
-
-
-PhaseSeed = Seed | RandomSeed
-
-
 @dataclass(eq=True)
 class SeedSet:
     """Seeds for every odd phase ``1, 3, ..., 2k - 1`` of one engine run."""
 
     k: int
     n: int
-    mode: str
-    phases: dict[int, PhaseSeed]
+    phases: dict[int, Seed]
 
-    def phase(self, ell: int) -> PhaseSeed:
+    def phase(self, ell: int) -> Seed:
         try:
             return self.phases[ell]
         except KeyError:
             raise ValueError(f"no seed for phase length {ell}") from None
 
 
-def init_seeds(
-    k: int,
-    n: int,
-    d: int,
-    rng_seed: int,
-    *,
-    c: float = 4.0,
-    mode: str = "kwise",
-) -> SeedSet:
+def _phase_shape(n: int, ell: int) -> tuple[int, int, int]:
+    """``(modulus, copy count, kappa)`` of the phase-``ell`` seed for ``n`` vertices."""
+    n_dom = n ** (ell + 1)
+    modulus = _next_prime(n_dom) if n_dom < (1 << 61) else MERSENNE_61
+    return modulus, 4 * _ceil_log2(n_dom), max(2, math.ceil(4 * math.log2(n)))
+
+
+def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
     """Draw fresh per-phase seeds; deterministic in all arguments.
 
-    ``kappa = ceil(c * log2(n))`` coefficients per polynomial and
-    ``4 * ceil(log2(n ** (ell + 1)))`` polynomial copies per phase.  ``d`` is
-    accepted so call sites hand over the full problem context, but the
-    construction itself depends only on ``n`` and ``k``.
+    Phase ``ell`` gets ``4 * ceil(log2(n ** (ell + 1)))`` polynomial copies of
+    ``kappa = ceil(4 * log2(n))`` coefficients each.  Phases are drawn in
+    ascending order from one stream, so the seeds of the first phases do not
+    depend on ``k``.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if d < 1:
-        raise ValueError(f"degree bound must be at least 1, got {d}")
-    if mode not in ("kwise", "random"):
-        raise ValueError(f"unknown ordering mode {mode!r}")
     rng = random.Random(rng_seed)
-    kappa = max(2, math.ceil(c * math.log2(n)))
-    phases: dict[int, PhaseSeed] = {}
+    phases: dict[int, Seed] = {}
     for ell in range(1, 2 * k, 2):
-        if mode == "random":
-            phases[ell] = RandomSeed(n, ell, rng.getrandbits(256).to_bytes(32, "big"))
-            continue
-        n_dom = n ** (ell + 1)
-        copy_count = 4 * _ceil_log2(n_dom)
-        if n_dom < (1 << 61):
-            modulus = _next_prime(n_dom)
-        else:
-            modulus = MERSENNE_61
+        modulus, copy_count, kappa = _phase_shape(n, ell)
         copies = tuple(
             tuple(rng.randrange(modulus) for _ in range(kappa))
             for _ in range(copy_count)
         )
         phases[ell] = Seed(n, ell, modulus, copies)
-    return SeedSet(k, n, mode, phases)
+    return SeedSet(k, n, phases)
 
 
-def primary_rank(p: PathKey, seed: PhaseSeed) -> int:
+def primary_rank(p: PathKey, seed: Seed) -> int:
     """Pseudorandom integer rank of one path, before tie-breaking."""
     if p.length != seed.length:
         raise ValueError(
@@ -249,36 +203,12 @@ def primary_rank(p: PathKey, seed: PhaseSeed) -> int:
     return seed.rank_of_encoding(encode_path(p, seed.base))
 
 
-def primary_ranks(paths: list[PathKey], seed: PhaseSeed) -> list[int]:
-    """Primary ranks of many paths; vectorized when the field fits in int64."""
-    if (
-        isinstance(seed, Seed)
-        and seed.modulus < _VECTOR_MOD_LIMIT
-        and len(paths) > 1
-    ):
-        xs = np.fromiter(
-            (encode_path(p, seed.base) for p in paths),
-            dtype=np.int64,
-            count=len(paths),
-        )
-        m = seed.modulus
-        bits = np.empty((len(paths), seed.bit_width), dtype=np.uint8)
-        for j, coeffs in enumerate(seed.copies):
-            acc = np.zeros(len(paths), dtype=np.int64)
-            for coef in reversed(coeffs):
-                acc = (acc * xs + coef) % m
-            bits[:, j] = (acc & 1).astype(np.uint8)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return [primary_rank(p, seed) for p in paths]
-
-
-def rank(p: PathKey, seed: PhaseSeed) -> tuple[int, ...]:
+def rank(p: PathKey, seed: Seed) -> tuple[int, ...]:
     """Totally ordered rank: primary integer first, canonical key as tie-break."""
     return (primary_rank(p, seed), *p)
 
 
-def precedes(p: PathKey, q: PathKey, seed: PhaseSeed) -> bool:
+def precedes(p: PathKey, q: PathKey, seed: Seed) -> bool:
     """Strict order between two distinct paths of the seed's phase length."""
     if p == q:
         raise ValueError("precedes needs two distinct paths")
@@ -290,28 +220,25 @@ def precedes(p: PathKey, q: PathKey, seed: PhaseSeed) -> bool:
 
 
 _BLOB_VERSION = 1
+# Every blob carries this one "mode" value; the field stays so that blobs
+# written by earlier versions replay unchanged.
+_BLOB_MODE = "kwise"
 
 
 def seedset_to_blob(seeds: SeedSet) -> str:
     """Hex blob carrying the full seed material for replayable runs."""
-    phases: dict[str, dict] = {}
-    for ell, s in sorted(seeds.phases.items()):
-        if isinstance(s, Seed):
-            phases[str(ell)] = {
-                "base": s.base,
-                "length": s.length,
-                "modulus": s.modulus,
-                "copies": [list(c) for c in s.copies],
-            }
-        else:
-            phases[str(ell)] = {
-                "base": s.base,
-                "length": s.length,
-                "key": s.key.hex(),
-            }
+    phases = {
+        str(ell): {
+            "base": s.base,
+            "length": s.length,
+            "modulus": s.modulus,
+            "copies": [list(c) for c in s.copies],
+        }
+        for ell, s in sorted(seeds.phases.items())
+    }
     payload = {
         "version": _BLOB_VERSION,
-        "mode": seeds.mode,
+        "mode": _BLOB_MODE,
         "k": seeds.k,
         "n": seeds.n,
         "phases": phases,
@@ -324,17 +251,23 @@ def _malformed(why: str) -> ValueError:
     return ValueError(f"malformed seed blob: {why}")
 
 
-def _phase_from_blob(mode: str, entry) -> PhaseSeed:
-    if mode == "kwise":
-        return Seed(
-            int(entry["base"]),
-            int(entry["length"]),
-            int(entry["modulus"]),
-            tuple(tuple(int(x) for x in c) for c in entry["copies"]),
-        )
-    return RandomSeed(
-        int(entry["base"]), int(entry["length"]), bytes.fromhex(entry["key"])
+def _phase_from_blob(n: int, ell: int, entry) -> Seed:
+    seed = Seed(
+        int(entry["base"]),
+        int(entry["length"]),
+        int(entry["modulus"]),
+        tuple(tuple(int(x) for x in c) for c in entry["copies"]),
     )
+    if seed.length != ell:
+        raise ValueError(f"length {seed.length}")
+    if seed.base != n:
+        raise ValueError(f"base {seed.base}, expected n={n}")
+    shape, expected = (seed.modulus, seed.bit_width, seed.kappa), _phase_shape(n, ell)
+    if shape != expected:
+        raise ValueError(f"(modulus, copies, kappa) {shape}, expected {expected}")
+    if not all(0 <= x < seed.modulus for c in seed.copies for x in c):
+        raise ValueError(f"coefficient outside [0, {seed.modulus})")
+    return seed
 
 
 def seedset_from_blob(blob: str) -> SeedSet:
@@ -349,22 +282,22 @@ def seedset_from_blob(blob: str) -> SeedSet:
     if payload.get("version") != _BLOB_VERSION:
         raise ValueError(f"unsupported seed blob version {payload.get('version')!r}")
     mode = payload.get("mode")
-    if mode not in ("kwise", "random"):
-        raise _malformed(f"missing or unknown mode {mode!r}")
-    for name in ("k", "n"):
-        if type(payload.get(name)) is not int:
-            raise _malformed(f"missing or mistyped {name!r}")
+    if mode != _BLOB_MODE:
+        raise _malformed(f"missing or unsupported mode {mode!r}")
+    for name, low in (("k", 1), ("n", 2)):
+        value = payload.get(name)
+        if type(value) is not int or value < low:
+            raise _malformed(f"missing, mistyped or too small {name!r}")
+    k, n = payload["k"], payload["n"]
     entries = payload.get("phases")
     if not isinstance(entries, dict):
         raise _malformed("missing or mistyped 'phases'")
-    phases: dict[int, PhaseSeed] = {}
-    for key, entry in entries.items():
+    if len(entries) != k:
+        raise _malformed(f"{len(entries)} phases for k={k}")
+    phases: dict[int, Seed] = {}
+    for ell in range(1, 2 * k, 2):
         try:
-            ell = int(key)
-            seed = _phase_from_blob(mode, entry)
+            phases[ell] = _phase_from_blob(n, ell, entries[str(ell)])
         except (KeyError, TypeError, ValueError) as exc:
-            raise _malformed(f"phase {key!r}: {exc!r}") from None
-        if seed.length != ell:
-            raise _malformed(f"phase {key!r} has length {seed.length}")
-        phases[ell] = seed
-    return SeedSet(payload["k"], payload["n"], mode, phases)
+            raise _malformed(f"phase {ell}: {exc!r}") from None
+    return SeedSet(k, n, phases)

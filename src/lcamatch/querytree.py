@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 __all__ = ["TreeSample", "TailEstimate", "simulate_query_tree", "tail_ccdf"]
 
@@ -92,36 +92,33 @@ def tail_ccdf(d: int, samples: int, cap: int, rng: random.Random) -> TailEstimat
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a tail fit, got {samples}")
-    counts = np.zeros(cap + 1, dtype=np.int64)
+    counts = [0] * (cap + 1)
     truncated = 0
     for _ in range(samples):
         t = simulate_query_tree(d, cap, rng)
         counts[t.size] += 1
         truncated += t.truncated
-    # ccdf[N] = Pr[size >= N] for N in 1..cap.
-    suffix = np.cumsum(counts[::-1])[::-1]
-    ccdf = suffix[1:] / float(samples)
-    ns = np.arange(1, cap + 1)
+    # ccdf[N - 1] = Pr[size >= N] for N in 1..cap.
+    suffix = list(accumulate(reversed(counts)))[::-1]
+    ccdf = [s / samples for s in suffix[1:]]
     floor = _FIT_FLOOR_COUNT / samples
-    mask = ccdf >= floor
-    if int(mask.sum()) >= 2:
-        xs = ns[mask].astype(float)
-        ys = np.log(ccdf[mask])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_res = float(np.sum((ys - pred) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    fit = [(n, math.log(c)) for n, c in enumerate(ccdf, start=1) if c >= floor]
+    if len(fit) >= 2:
+        xs, ys = zip(*fit)
+        slope, intercept = statistics.linear_regression(xs, ys)
+        y_mean = statistics.fmean(ys)
+        ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in fit)
+        ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
         r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     else:
         slope, intercept, r_squared = math.nan, math.nan, math.nan
-    points = tuple((int(n), float(c)) for n, c in zip(ns, ccdf))
     return TailEstimate(
         d=d,
         samples=samples,
         cap=cap,
-        points=points,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r_squared),
+        points=tuple(enumerate(ccdf, start=1)),
+        slope=slope,
+        intercept=intercept,
+        r_squared=r_squared,
         truncated_fraction=truncated / samples,
     )

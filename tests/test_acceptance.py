@@ -22,11 +22,11 @@ from lcamatch.oracles import (
     max_matching_bruteforce,
     verify_matching,
 )
-from lcamatch.ordering import eval_poly, init_seeds, primary_ranks
+from lcamatch.ordering import eval_poly, init_seeds
 from lcamatch.paths import canonical_key, intersecting_paths, paths_through_edge
 from lcamatch.querytree import tail_ccdf
 
-from conftest import small_corpus
+from conftest import batch_primary_ranks, small_corpus
 
 # Everything materialized by the first four tests, audited by the fifth.
 MATERIALIZED: dict[str, tuple[Graph, frozenset]] = {}
@@ -116,7 +116,7 @@ def test_3_local_global_equivalence(capsys):
         d = max(1, g.degree_bound)
         for k in (1, 2, 3):
             for seed in range(10):
-                ss = init_seeds(k, n, d, seed)
+                ss = init_seeds(k, n, seed)
                 local = Engine(g, k=k, seeds=ss).materialize()
                 reference = abstract_distributed_mm(g, k, ss)
                 for e in g.sorted_edges():
@@ -148,7 +148,7 @@ def test_4_order_and_cache_independence(capsys):
         if g.edge_count == 0:
             continue
         k = 1 + pairs % 3
-        ss = init_seeds(k, max(2, n), max(1, d), rng.randrange(1 << 30))
+        ss = init_seeds(k, max(2, n), rng.randrange(1 << 30))
         modes = ("shared", "per_query") if k > 2 else ("shared", "per_query", "off")
         edges = g.sorted_edges()
         baseline = None
@@ -251,7 +251,7 @@ def test_8_query_cost_scaling(capsys):
     max_f = {}
     for n in sizes:
         g = gen_random_bounded(n, 3, 8000 + n)
-        ss = init_seeds(2, n, 3, 8)
+        ss = init_seeds(2, n, 8)
         eng = Engine(g, k=2, seeds=ss, cache_mode="per_query")
         edges = g.sorted_edges()
         sample = random.Random(80 + n).sample(edges, min(200, len(edges)))
@@ -303,8 +303,8 @@ def test_9_ordering_uniformity_and_collisions(capsys):
     collisions = 0
     trials = 1000
     for s in range(trials):
-        seed = init_seeds(2, 50, 4, s).phase(3)
-        ranks = primary_ranks(all_paths, seed)
+        seed = init_seeds(2, 50, s).phase(3)
+        ranks = batch_primary_ranks(all_paths, seed)
         if len(set(ranks)) < len(all_paths):
             collisions += 1
     fraction = collisions / trials

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +162,7 @@ def test_env_seed_must_be_integer(k2_file, capsys, monkeypatch):
 
 
 def test_seed_blob_reproduces_rng_seed(p4_file, capsys):
-    blob = seedset_to_blob(init_seeds(2, 4, 2, 7))
+    blob = seedset_to_blob(init_seeds(2, 4, 7))
     rc = main(["materialize", "--graph", p4_file, "--eps", "0.5",
                "--rng-seed", "7"])
     assert rc == 0
@@ -192,3 +195,30 @@ def test_seed_blob_missing_mode_is_an_error_not_a_traceback(p4_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_seed_blob_with_modulus_zero_is_an_error_not_a_traceback(p4_file, capsys):
+    payload = json.loads(zlib.decompress(bytes.fromhex(seedset_to_blob(init_seeds(2, 4, 7)))))
+    payload["phases"]["1"]["modulus"] = 0
+    blob = zlib.compress(json.dumps(payload).encode("ascii")).hex()
+    rc = main(["query", "--graph", p4_file, "--eps", "0.5",
+               "--edge", "0 1", "--seed-blob", blob])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_import_and_querytree_load_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lcamatch, lcamatch.cli; "
+        "rc = lcamatch.cli.main(['querytree', '--d', '3', '--trials', '1000', "
+        "'--cap', '50', '--rng-seed', '1', '--format', 'text']); "
+        "assert rc == 0; print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "False"

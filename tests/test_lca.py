@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -65,7 +66,7 @@ def test_p4_k2_forced_answers():
 def test_c3_k1_single_edge_matches_global_greedy():
     g = cycle_graph(3)
     for seed in range(8):
-        ss = init_seeds(1, 3, 2, seed)
+        ss = init_seeds(1, 3, seed)
         eng = Engine(g, k=1, seeds=ss)
         local = {e for e in g.sorted_edges() if eng.query(e)}
         assert len(local) == 1
@@ -83,11 +84,11 @@ def test_p4_flip_trace_with_rigged_seed():
     mid, left, right = PathKey((1, 2)), PathKey((0, 1)), PathKey((2, 3))
 
     def mid_first(seed_int):
-        s = init_seeds(2, 4, 2, seed_int).phases[1]
+        s = init_seeds(2, 4, seed_int).phases[1]
         return rank(mid, s) < rank(left, s) and rank(mid, s) < rank(right, s)
 
     seed_int = find_order_seed(mid_first)
-    eng = Engine(g, k=2, seeds=init_seeds(2, 4, 2, seed_int))
+    eng = Engine(g, k=2, seeds=init_seeds(2, 4, seed_int))
     assert eng.is_in_matching((1, 2), 1) is True
     assert eng.is_in_matching((1, 2), 3) is False
     assert eng.is_path_in_mis(PathKey((0, 1, 2, 3)), 3) is True
@@ -101,12 +102,12 @@ def test_path_in_mis_rank_chain_on_p5():
     e01, e12, e23, e34 = (PathKey((i, i + 1)) for i in range(4))
 
     def wanted(seed_int):
-        s = init_seeds(2, 5, 2, seed_int).phases[1]
+        s = init_seeds(2, 5, seed_int).phases[1]
         r = {p: rank(p, s) for p in (e01, e12, e23, e34)}
         return r[e12] < r[e23] < r[e01] < r[e34]
 
     seed_int = find_order_seed(wanted)
-    eng = Engine(g, k=2, seeds=init_seeds(2, 5, 2, seed_int))
+    eng = Engine(g, k=2, seeds=init_seeds(2, 5, seed_int))
     assert [eng.is_path_in_mis(p, 1) for p in (e01, e12, e23, e34)] == [
         False, True, False, True,
     ]
@@ -119,11 +120,11 @@ def test_path_in_mis_non_augmenting_root_is_out():
     e01, e12, e23 = PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))
 
     def middle_not_first(seed_int):
-        s = init_seeds(2, 4, 2, seed_int).phases[1]
+        s = init_seeds(2, 4, seed_int).phases[1]
         r12 = rank(e12, s)
         return rank(e01, s) < r12 or rank(e23, s) < r12
 
-    eng = Engine(g, k=2, seeds=init_seeds(2, 4, 2, find_order_seed(middle_not_first)))
+    eng = Engine(g, k=2, seeds=init_seeds(2, 4, find_order_seed(middle_not_first)))
     root = PathKey((0, 1, 2, 3))
     assert eng.is_augmenting_path(root, 3) is False
     assert eng.is_path_in_mis(root, 3) is False
@@ -141,7 +142,8 @@ def test_greedy_mis_is_maximal_and_independent():
     g = petersen_graph()
     c = build_conflict_graph(g, set(), 1)
     eng = Engine(g, k=1, rng_seed=2)
-    chosen = greedy_mis(c, eng.rank_key(1))
+    seed = eng.seeds.phase(1)
+    chosen = greedy_mis(c, lambda p: rank(p, seed))
     adj = c.adjacency()
     for node in chosen:
         assert not (adj[node] & chosen)
@@ -158,7 +160,7 @@ def test_path_in_mis_matches_global_for_every_path():
         if g.edge_count == 0:
             continue
         for seed in range(2):
-            ss = init_seeds(2, n, d, seed)
+            ss = init_seeds(2, n, seed)
             eng = Engine(g, k=2, seeds=ss)
             matching = frozenset()
             for ell in (1, 3):
@@ -179,7 +181,7 @@ def test_is_augmenting_matches_static_oracle():
         g = gen_random_bounded(n, d, 1000 + gi)
         if g.edge_count == 0:
             continue
-        ss = init_seeds(3, n, d, gi)
+        ss = init_seeds(3, n, gi)
         eng = Engine(g, k=3, seeds=ss)
         for ell in (1, 3, 5):
             previous = (
@@ -214,7 +216,7 @@ def test_query_answers_independent_of_cache_and_order():
         g = gen_random_bounded(n, 3, 1100 + gi)
         if g.edge_count == 0:
             continue
-        ss = init_seeds(2, n, 3, gi)
+        ss = init_seeds(2, n, gi)
         edges = g.sorted_edges()
         baseline = None
         for mode in ("shared", "per_query", "off"):
@@ -265,7 +267,7 @@ def test_phase_sizes_never_shrink():
         assert find_augmenting_path(g, m1, 1) is None
 
 
-def test_full_matching_properties_random_mode_too():
+def test_full_matching_properties():
     rng = random.Random(50)
     for gi in range(4):
         n = rng.randrange(6, 14)
@@ -273,13 +275,12 @@ def test_full_matching_properties_random_mode_too():
         g = gen_random_bounded(n, d, 1300 + gi)
         if g.edge_count == 0:
             continue
-        for mode in ("kwise", "random"):
-            ss = init_seeds(2, n, d, gi, mode=mode)
-            eng = Engine(g, k=2, seeds=ss)
-            m = eng.materialize()
-            assert m == abstract_distributed_mm(g, 2, ss)
-            assert verify_matching(g, m)
-            assert find_augmenting_path(g, m, 3) is None
+        ss = init_seeds(2, n, gi)
+        eng = Engine(g, k=2, seeds=ss)
+        m = eng.materialize()
+        assert m == abstract_distributed_mm(g, 2, ss)
+        assert verify_matching(g, m)
+        assert find_augmenting_path(g, m, 3) is None
 
 
 def test_stats_populated():
@@ -321,20 +322,36 @@ def test_engine_validation():
 def test_engine_seed_compatibility():
     g = path_graph(4)
     with pytest.raises(ValueError, match="seed set is for"):
-        Engine(g, k=2, seeds=init_seeds(2, 9, 2, 0))
+        Engine(g, k=2, seeds=init_seeds(2, 9, 0))
     with pytest.raises(ValueError, match="no seed for phase"):
-        Engine(g, k=2, seeds=init_seeds(1, 4, 2, 0))
+        Engine(g, k=2, seeds=init_seeds(1, 4, 0))
     # larger seed sets are fine, extra phases unused
-    eng = Engine(g, k=1, seeds=init_seeds(3, 4, 2, 0))
+    eng = Engine(g, k=1, seeds=init_seeds(3, 4, 0))
     assert eng.query((0, 1)) in (True, False)
 
 
 def test_eps_to_k_rounding():
-    g = path_graph(4)
+    g = path_graph(6)
     assert Engine(g, eps=1.0).k == 1
     assert Engine(g, eps=0.5).k == 2
     assert Engine(g, eps=1 / 3).k == 3
     assert Engine(g, eps=0.4).k == 3
+
+
+def test_k_is_clamped_to_half_the_vertex_count():
+    # phases longer than n - 1 hold no simple path, so a tiny eps on a tiny
+    # graph must not draw seeds for millions of empty phases
+    g = path_graph(3)
+    start = time.perf_counter()
+    eng = Engine(g, eps=1e-7, rng_seed=4)
+    answers = [eng.query(e) for e in g.sorted_edges()]
+    assert time.perf_counter() - start < 1.0
+    assert eng.k == 1
+    assert answers == [Engine(g, k=1, rng_seed=4).query(e) for e in g.sorted_edges()]
+    with pytest.raises(ValueError, match="odd"):
+        eng.is_in_matching((0, 1), 3)
+    assert Engine(path_graph(7), k=10).k == 3
+    assert Engine(path_graph(2), k=5).k == 1
 
 
 @st.composite
@@ -346,7 +363,6 @@ def engine_cases(draw):
     return (
         gen_random_bounded(n, d, draw(st.integers(0, 10**6))),
         k,
-        draw(st.sampled_from(("kwise", "random"))),
         draw(st.sampled_from(cache_modes)),
         draw(st.integers(0, 10**6)),
     )
@@ -355,15 +371,15 @@ def engine_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(engine_cases())
 def test_materialize_matches_global_reference(case):
-    g, k, order, cache_mode, rng_seed = case
-    ss = init_seeds(k, g.vertex_count, g.degree_bound, rng_seed, mode=order)
+    g, k, cache_mode, rng_seed = case
+    ss = init_seeds(k, g.vertex_count, rng_seed)
     eng = Engine(g, k=k, seeds=ss, cache_mode=cache_mode)
     assert eng.materialize() == abstract_distributed_mm(g, k, ss)
 
 
 def test_per_query_refusals_do_not_depend_on_query_order():
     g = gen_random_bounded(1024, 3, 2024)
-    ss = init_seeds(3, 1024, 3, 11)
+    ss = init_seeds(3, 1024, 11)
     edges = random.Random(12).sample(g.sorted_edges(), 80)
     refused_sets = []
     for order in (edges, edges[::-1]):

@@ -141,20 +141,20 @@ def test_conflict_graph_guards():
 def test_abstract_mm_k2_on_p4_forced():
     g = path_graph(4)
     for seed in range(6):
-        ss = init_seeds(2, 4, 2, seed)
+        ss = init_seeds(2, 4, seed)
         assert abstract_distributed_mm(g, 2, ss) == frozenset({(0, 1), (2, 3)})
 
 
 def test_abstract_mm_k1_on_k2():
     g = path_graph(2)
-    ss = init_seeds(1, 2, 1, 0)
+    ss = init_seeds(1, 2, 0)
     assert abstract_distributed_mm(g, 1, ss) == frozenset({(0, 1)})
 
 
 def test_abstract_mm_c5_k2_is_maximum():
     g = cycle_graph(5)
     for seed in range(6):
-        ss = init_seeds(2, 5, 2, seed)
+        ss = init_seeds(2, 5, seed)
         m = abstract_distributed_mm(g, 2, ss)
         assert len(m) == 2
         assert verify_matching(g, m)
@@ -169,7 +169,7 @@ def test_abstract_mm_no_short_augmenting_path():
         if g.edge_count == 0:
             continue
         for k in (1, 2, 3):
-            ss = init_seeds(k, n, d, gi)
+            ss = init_seeds(k, n, gi)
             m = abstract_distributed_mm(g, k, ss)
             assert verify_matching(g, m)
             assert find_augmenting_path(g, m, 2 * k - 1) is None

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .graph import Graph, mk_edge
-from .ordering import SeedSet, init_seeds, rank
+from .ordering import Rank, SeedSet, init_seeds, rank
 from .paths import PathKey, canonical_key, iter_intersecting, paths_through_edge
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 
-RankKey = Callable[[PathKey], tuple[int, ...]]
+RankKey = Callable[[PathKey], "Rank | tuple[int, ...]"]
 
 
 class BudgetExceededError(RuntimeError):
@@ -123,11 +123,15 @@ def greedy_mis(subgraph: ConflictSubgraph, key: RankKey) -> set[PathKey]:
     return chosen
 
 
-def _k_from_eps(eps: float) -> int:
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def _k_from_eps(eps: float, k_max: int) -> int:
+    """``ceil(1 / eps)``, at least 1 and at most ``k_max``."""
+    if not math.isfinite(eps) or eps <= 0:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    inverse = 1.0 / eps
+    if math.isinf(inverse):
+        return k_max
     # round() guards ceil against float noise in 1/eps for eps like 1/3.
-    return max(1, math.ceil(round(1.0 / eps, 9)))
+    return min(k_max, max(1, math.ceil(round(inverse, 9))))
 
 
 class Engine:
@@ -169,11 +173,12 @@ class Engine:
     ) -> None:
         if (eps is None) == (k is None):
             raise ValueError("provide exactly one of eps and k")
+        k_max = max(1, graph.vertex_count // 2)
         if k is None:
-            k = _k_from_eps(eps)  # type: ignore[arg-type]
+            k = _k_from_eps(eps, k_max)  # type: ignore[arg-type]
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        k = min(k, max(1, graph.vertex_count // 2))
+        k = min(k, k_max)
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
         if cache_mode not in ("shared", "per_query", "off"):
@@ -196,7 +201,7 @@ class Engine:
         self.cache_mode = cache_mode
         self.last_stats: Stats | None = None
         self._memo: dict[tuple, bool] = {}
-        self._ranks: dict[PathKey, tuple[int, ...]] = {}
+        self._ranks: dict[PathKey, Rank] = {}
         self._stats = Stats()
 
     # -- public query surface -------------------------------------------
@@ -290,7 +295,7 @@ class Engine:
             self._memo[key] = res
         return res
 
-    def _rank(self, p: PathKey) -> tuple[int, ...]:
+    def _rank(self, p: PathKey) -> Rank:
         # A path's length is its phase, so the path alone keys the cache.
         t = self._ranks.get(p)
         if t is None:

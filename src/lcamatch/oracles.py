@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .graph import Graph, mk_edge
 from .lca import ConflictSubgraph, greedy_mis, intersection_edges
-from .ordering import SeedSet, rank
+from .ordering import SeedSet, primary_rank
 from .paths import PathKey, paths_through_edge
 
 __all__ = [
@@ -204,7 +204,9 @@ def abstract_distributed_mm(
     for ell in range(1, 2 * k, 2):
         conflict = build_conflict_graph(g, matching, ell)
         seed = seeds.phase(ell)
-        chosen = greedy_mis(conflict, lambda p: rank(p, seed))
+        # The eager rank tuple, not the engine's lazy ordering.Rank key, so
+        # that this reference checks the lazy comparison too.
+        chosen = greedy_mis(conflict, lambda p: (primary_rank(p, seed), *p))
         flipped: set[tuple[int, int]] = set()
         for p in chosen:
             flipped.update(p.edge_seq())

@@ -12,6 +12,11 @@ width makes rank collisions rare; remaining ties are broken by canonical-key
 order, so the result is a strict total order.  The field, the copy count and
 ``kappa`` depend only on ``n`` and the phase length, so a seed is fully
 described by its coefficients.
+
+:func:`rank` returns a :class:`Rank` key that evaluates the primary bits on
+demand, most significant first, and only as many as a comparison needs: two
+ranks almost always differ within their top few bits, so most of the
+polynomials are never evaluated.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import total_ordering
 
 from .paths import PathKey
 
@@ -31,6 +37,7 @@ __all__ = [
     "encode_path",
     "eval_poly",
     "primary_rank",
+    "Rank",
     "rank",
     "precedes",
     "seedset_to_blob",
@@ -102,7 +109,9 @@ def encode_path(p: PathKey, base: int) -> int:
     return x
 
 
-def _fold_into_field(x: int, modulus: int) -> int:
+def _into_field(x: int, modulus: int) -> int:
+    if x < modulus:
+        return x
     # Heuristic compression of an oversized encoding into the field.
     h = 0
     while x:
@@ -139,12 +148,15 @@ class Seed:
     def bit_width(self) -> int:
         return len(self.copies)
 
+    def bit(self, x: int, j: int) -> int:
+        """Bit ``j`` of the primary rank at field point ``x``: copy ``j``'s low bit."""
+        return eval_poly(self.copies[j], x, self.modulus) & 1
+
     def rank_of_encoding(self, x: int) -> int:
-        if x >= self.modulus:
-            x = _fold_into_field(x, self.modulus)
+        x = _into_field(x, self.modulus)
         bits = 0
-        for j, coeffs in enumerate(self.copies):
-            bits |= (eval_poly(coeffs, x, self.modulus) & 1) << j
+        for j in range(self.bit_width):
+            bits |= self.bit(x, j) << j
         return bits
 
 
@@ -194,18 +206,86 @@ def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
     return SeedSet(k, n, phases)
 
 
-def primary_rank(p: PathKey, seed: Seed) -> int:
-    """Pseudorandom integer rank of one path, before tie-breaking."""
+def _check_length(p: PathKey, seed: Seed) -> None:
     if p.length != seed.length:
         raise ValueError(
             f"path has length {p.length}, seed is for length {seed.length}"
         )
+
+
+def primary_rank(p: PathKey, seed: Seed) -> int:
+    """Pseudorandom integer rank of one path, before tie-breaking."""
+    _check_length(p, seed)
     return seed.rank_of_encoding(encode_path(p, seed.base))
 
 
-def rank(p: PathKey, seed: Seed) -> tuple[int, ...]:
-    """Totally ordered rank: primary integer first, canonical key as tie-break."""
-    return (primary_rank(p, seed), *p)
+@total_ordering
+class Rank:
+    """Order key of one path under one seed, evaluated lazily.
+
+    Keys order exactly like the tuples ``(primary_rank(p, seed), *p)``.
+    Construction only encodes the path into the field; ``bits`` holds the
+    top ``nbits`` primary bits evaluated so far, and a comparison extends
+    them one bit at a time, most significant (``copies[-1]``) first, until
+    the two keys differ.  Keys compare equal iff their paths are equal;
+    comparing keys of different seeds is a ValueError.
+    """
+
+    __slots__ = ("path", "x", "seed", "bits", "nbits")
+
+    def __init__(self, p: PathKey, seed: Seed) -> None:
+        _check_length(p, seed)
+        self.path = p
+        self.x = _into_field(encode_path(p, seed.base), seed.modulus)
+        self.seed = seed
+        self.bits = 0
+        self.nbits = 0
+
+    def _prefix(self, m: int) -> int:
+        """The top ``m`` primary bits, evaluating those still missing."""
+        if self.nbits < m:
+            seed, x, bits = self.seed, self.x, self.bits
+            top = seed.bit_width - 1
+            for j in range(top - self.nbits, top - m, -1):
+                bits = bits << 1 | seed.bit(x, j)
+            self.bits, self.nbits = bits, m
+        return self.bits >> (self.nbits - m)
+
+    def _check_seed(self, other: Rank) -> None:
+        if other.seed is not self.seed and other.seed != self.seed:
+            raise ValueError("ranks under different seeds are not comparable")
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Rank):
+            return NotImplemented
+        self._check_seed(other)
+        # Compare the prefixes both keys already hold, then extend both one
+        # bit at a time: equal prefixes of length m - 1 make comparing the
+        # length-m prefixes a compare of bit m.
+        m = min(self.nbits, other.nbits)
+        a = self.bits >> (self.nbits - m)
+        b = other.bits >> (other.nbits - m)
+        width = self.seed.bit_width
+        while a == b:
+            if m == width:
+                return self.path < other.path
+            m += 1
+            a, b = self._prefix(m), other._prefix(m)
+        return a < b
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rank):
+            return NotImplemented
+        self._check_seed(other)
+        return self.path == other.path
+
+    def __hash__(self) -> int:
+        return hash(self.path)
+
+
+def rank(p: PathKey, seed: Seed) -> Rank:
+    """Totally ordered rank: primary bits first, canonical key as tie-break."""
+    return Rank(p, seed)
 
 
 def precedes(p: PathKey, q: PathKey, seed: Seed) -> bool:

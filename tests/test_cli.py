@@ -57,6 +57,34 @@ def test_query_rejects_unknown_edge(p4_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def p3_file(tmp_path):
+    f = tmp_path / "p3.txt"
+    f.write_text(dump_graph(path_graph(3)))
+    return str(f)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_query_rejects_non_finite_eps(p3_file, eps, capsys):
+    rc = main(["query", "--graph", p3_file, f"--eps={eps}",
+               "--edge", "0 1", "--rng-seed", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "eps" in err
+
+
+def test_query_with_overflowing_inverse_eps_answers_as_k1(p3_file, capsys):
+    for edge in ("0 1", "1 2"):
+        answers = []
+        for eps in ("1e-320", "1.0"):
+            rc = main(["query", "--graph", p3_file, "--eps", eps,
+                       "--edge", edge, "--rng-seed", "7"])
+            assert rc == 0
+            answers.append(capsys.readouterr().out.strip())
+        assert answers[0] == answers[1]
+        assert answers[0] in {"true", "false"}
+
+
 def test_query_rejects_malformed_edge(p4_file):
     with pytest.raises(SystemExit) as exc:
         main(["query", "--graph", p4_file, "--eps", "1.0", "--edge", "zero one"])

@@ -354,6 +354,27 @@ def test_k_is_clamped_to_half_the_vertex_count():
     assert Engine(path_graph(2), k=5).k == 1
 
 
+def test_eps_must_be_finite_and_an_overflowing_inverse_clamps_k():
+    g = path_graph(3)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            Engine(g, eps=bad)
+    # 1 / 1e-320 overflows to inf; it asks for more phases than the clamp allows
+    assert Engine(g, eps=1e-320).k == 1
+    assert Engine(path_graph(9), eps=1e-320).k == 4
+
+
+def test_ranks_are_evaluated_lazily():
+    g = gen_random_bounded(1024, 3, 1024)
+    eng = Engine(g, k=2, rng_seed=1, cache_mode="per_query")
+    for e in random.Random(2).sample(g.sorted_edges(), 50):
+        eng.query(e)
+    keys = list(eng._ranks.values())
+    assert len(keys) > 100
+    # full evaluation would give 80 bits (phase 1) or 160 bits (phase 3)
+    assert sum(k.nbits for k in keys) / len(keys) <= 16
+
+
 @st.composite
 def engine_cases(draw):
     n = draw(st.integers(2, 12))

@@ -17,6 +17,7 @@ from lcamatch.ordering import (
     init_seeds,
     precedes,
     primary_rank,
+    Rank,
     rank,
     seedset_from_blob,
     seedset_to_blob,
@@ -114,6 +115,62 @@ def test_all_zero_copies_force_tie_break():
     assert primary_rank(p, s) == primary_rank(q, s) == 0
     assert precedes(p, q, s)  # lexicographic key decides
     assert not precedes(q, p, s)
+
+
+def _eager_key(seed):
+    return lambda p: (primary_rank(p, seed), *p)
+
+
+def _with_zero_top_copies(seed, m):
+    zero = (0,) * seed.kappa
+    copies = seed.copies[: seed.bit_width - m] + (zero,) * m
+    return Seed(seed.base, seed.length, seed.modulus, copies)
+
+
+def test_lazy_rank_sorts_like_the_eager_tuple():
+    g = gen_random_bounded(8, 3, 5)
+    by_phase = {ell: all_paths_of_length(g, ell) for ell in (1, 3, 5)}
+    shuffler = random.Random(4)
+    for rng_seed in range(50):
+        ss = init_seeds(3, 8, rng_seed)
+        for ell, paths in by_phase.items():
+            seed = ss.phase(ell)
+            # top m copies all zero tie the first m bits; m = bit_width
+            # ties the whole primary, leaving the path tie-break
+            m = rng_seed % 8 if rng_seed < 40 else seed.bit_width
+            for s in (seed, _with_zero_top_copies(seed, m)):
+                expected = sorted(paths, key=_eager_key(s))
+                keys = {p: rank(p, s) for p in paths}
+                # the second sort meets keys evaluated to different depths
+                for _ in range(2):
+                    shuffler.shuffle(paths)
+                    assert sorted(paths, key=keys.__getitem__) == expected
+                assert all(0 < k.nbits <= s.bit_width for k in keys.values())
+            if m == seed.bit_width:
+                assert expected == sorted(paths)
+
+
+def test_lazy_rank_equality_hash_and_seed_check():
+    ss = init_seeds(2, 8, 5)
+    s = ss.phase(1)
+    p, q = PathKey((0, 1)), PathKey((1, 2))
+    assert isinstance(rank(p, s), Rank)
+    assert rank(p, s) == rank(p, s) and hash(rank(p, s)) == hash(rank(p, s))
+    assert rank(p, s) != rank(q, s)
+    assert len({rank(p, s), rank(p, s), rank(q, s)}) == 2
+    assert not rank(p, s) < rank(p, s)
+    assert (rank(p, s) < rank(q, s)) == (_eager_key(s)(p) < _eager_key(s)(q))
+    # an equal seed drawn separately orders the same way
+    twin = init_seeds(2, 8, 5).phase(1)
+    assert twin is not s
+    assert (rank(p, s) < rank(q, twin)) == (rank(p, s) < rank(q, s))
+    other = init_seeds(2, 8, 6).phase(1)
+    with pytest.raises(ValueError, match="different seeds"):
+        rank(p, s) < rank(q, other)
+    with pytest.raises(ValueError, match="different seeds"):
+        rank(p, s) == rank(p, other)
+    with pytest.raises(ValueError, match="length"):
+        rank(PathKey((0, 1, 2, 3)), s)
 
 
 def test_rank_rejects_wrong_length():

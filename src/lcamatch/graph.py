@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 __all__ = [
     "Graph",
@@ -57,7 +57,11 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph, validating ids, duplicates, self loops and degrees."""
+        """Build a graph, validating ids, duplicates, self loops and degrees.
+
+        Each edge is checked as it arrives, so an error names the first
+        offending edge; :func:`load_graph` relies on this for line numbers.
+        """
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         if d < 0:
@@ -73,13 +77,12 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for x in range(n):
-            if len(nbrs[x]) > d:
-                raise ValueError(
-                    f"vertex {x} has degree {len(nbrs[x])}, exceeds bound {d}"
-                )
+            for x, y in ((u, v), (v, u)):
+                nbrs[x].append(y)
+                if len(nbrs[x]) > d:
+                    raise ValueError(
+                        f"vertex {x} has degree {len(nbrs[x])}, exceeds bound {d}"
+                    )
         adjacency = tuple(tuple(sorted(a)) for a in nbrs)
         return Graph(n, d, adjacency, frozenset(seen))
 
@@ -107,66 +110,49 @@ def load_graph(stream: TextIO) -> Graph:
     """Parse the ``n m d`` edge-list format.
 
     Blank lines and lines starting with ``#`` are skipped.  Errors report
-    1-based line numbers of the offending input line.
+    1-based line numbers of the offending input line.  The edge lines go
+    straight to :meth:`Graph.from_edges`, which runs every edge check once.
     """
-    header: tuple[int, int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    edges_seen: set[tuple[int, int]] = set()
-    degrees: dict[int, int] = {}
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3:
-                raise GraphFormatError(
-                    f"line {lineno}: header must be 'n m d', got {line!r}"
-                )
-            try:
-                n, m, d = (int(p) for p in parts)
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: header fields must be integers, got {line!r}"
-                ) from None
-            if n < 0 or m < 0 or d < 0:
-                raise GraphFormatError(f"line {lineno}: negative header field")
-            header = (n, m, d)
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: edge must be 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"line {lineno}: edge fields must be integers, got {line!r}"
-            ) from None
-        n, m, d = header
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(
-                f"line {lineno}: edge ({u}, {v}) out of range for n={n}"
-            )
-        e = mk_edge(u, v)
-        if e in edges_seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        edges_seen.add(e)
-        for x in e:
-            degrees[x] = degrees.get(x, 0) + 1
-            if degrees[x] > d:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex {x} exceeds declared degree bound {d}"
-                )
-        edges.append(e)
-    if header is None:
+    lines = (
+        (lineno, line)
+        for lineno, raw in enumerate(stream, 1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    lineno, line = next(lines, (1, None))
+    if line is None:
         raise GraphFormatError("line 1: missing 'n m d' header")
-    n, m, d = header
-    if len(edges) != m:
+    parts = line.split()
+    if len(parts) != 3:
+        raise GraphFormatError(f"line {lineno}: header must be 'n m d', got {line!r}")
+    try:
+        n, m, d = (int(p) for p in parts)
+    except ValueError:
         raise GraphFormatError(
-            f"header declares {m} edges, found {len(edges)}"
-        )
-    return Graph.from_edges(n, d, edges)
+            f"line {lineno}: header fields must be integers, got {line!r}"
+        ) from None
+    if n < 0 or m < 0 or d < 0:
+        raise GraphFormatError(f"line {lineno}: negative header field")
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal lineno
+        for lineno, line in lines:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"edge must be 'u v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"edge fields must be integers, got {line!r}") from None
+            yield u, v
+
+    try:
+        g = Graph.from_edges(n, d, edges())
+    except ValueError as exc:
+        # from_edges checks each edge as it arrives, so lineno is its line.
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+    if g.edge_count != m:
+        raise GraphFormatError(f"header declares {m} edges, found {g.edge_count}")
+    return g
 
 
 def dump_graph(g: Graph) -> str:

@@ -123,6 +123,13 @@ def greedy_mis(subgraph: ConflictSubgraph, key: RankKey) -> set[PathKey]:
     return chosen
 
 
+class _Forgetful(dict):
+    """The memo of ``cache_mode="off"``: every write is dropped."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 def _k_from_eps(eps: float, k_max: int) -> int:
     """``ceil(1 / eps)``, at least 1 and at most ``k_max``."""
     if not math.isfinite(eps) or eps <= 0:
@@ -200,7 +207,7 @@ class Engine:
         self.budget = budget
         self.cache_mode = cache_mode
         self.last_stats: Stats | None = None
-        self._memo: dict[tuple, bool] = {}
+        self._memo: dict[tuple, bool] = _Forgetful() if cache_mode == "off" else {}
         self._ranks: dict[PathKey, Rank] = {}
         self._stats = Stats()
 
@@ -279,7 +286,7 @@ class Engine:
         if ell == -1:
             return False
         key = ("m", e, ell)
-        cached = self._memo.get(key) if self.cache_mode != "off" else None
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         below = self._in_matching(e, ell - 2)
@@ -291,8 +298,7 @@ class Engine:
                 flipped = True
                 break
         res = below != flipped
-        if self.cache_mode != "off":
-            self._memo[key] = res
+        self._memo[key] = res
         return res
 
     def _rank(self, p: PathKey) -> Rank:
@@ -305,7 +311,7 @@ class Engine:
 
     def _path_in_mis(self, p: PathKey, ell: int) -> bool:
         key = ("i", p, ell)
-        cached = self._memo.get(key) if self.cache_mode != "off" else None
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         res = self._augmenting(p, ell)
@@ -327,8 +333,7 @@ class Engine:
                     res = False
                     break
             self._stats.relevant_set_sizes.append(1 + scanned)
-        if self.cache_mode != "off":
-            self._memo[key] = res
+        self._memo[key] = res
         return res
 
     def _augmenting(self, p: PathKey, ell: int) -> bool:
@@ -343,7 +348,7 @@ class Engine:
             # Phase 1 augments the empty matching: every edge qualifies.
             return True
         key = ("a", p, ell)
-        cached = self._memo.get(key) if self.cache_mode != "off" else None
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         res = True
@@ -353,13 +358,12 @@ class Engine:
                 break
         if res:
             res = self._free(p[0], ell) and self._free(p[-1], ell)
-        if self.cache_mode != "off":
-            self._memo[key] = res
+        self._memo[key] = res
         return res
 
     def _free(self, v: int, ell: int) -> bool:
         key = ("f", v, ell)
-        cached = self._memo.get(key) if self.cache_mode != "off" else None
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         res = True
@@ -367,6 +371,5 @@ class Engine:
             if self._in_matching(mk_edge(v, u), ell - 2):
                 res = False
                 break
-        if self.cache_mode != "off":
-            self._memo[key] = res
+        self._memo[key] = res
         return res

@@ -331,12 +331,19 @@ def _malformed(why: str) -> ValueError:
     return ValueError(f"malformed seed blob: {why}")
 
 
+def _json_int(value) -> int:
+    # int() would take 2.9, "2" and true; a field written as an integer won't.
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _phase_from_blob(n: int, ell: int, entry) -> Seed:
     seed = Seed(
-        int(entry["base"]),
-        int(entry["length"]),
-        int(entry["modulus"]),
-        tuple(tuple(int(x) for x in c) for c in entry["copies"]),
+        _json_int(entry["base"]),
+        _json_int(entry["length"]),
+        _json_int(entry["modulus"]),
+        tuple(tuple(_json_int(x) for x in c) for c in entry["copies"]),
     )
     if seed.length != ell:
         raise ValueError(f"length {seed.length}")

@@ -70,33 +70,24 @@ def canonical_key(g: Graph, seq: Iterable[int]) -> PathKey:
 
 
 def _extend(
-    g: Graph,
-    core: list[int],
-    used: set[int],
-    back_steps: int,
-    front_steps: int,
-    out: list[PathKey],
+    g: Graph, core: list[int], back_steps: int, front_steps: int, out: list[PathKey]
 ) -> None:
     # Grow the tail first, then the head; emit once both sides are spent.
+    # A core holds at most a phase length's few vertices, so a list scan is
+    # the cheapest "already on the path" test.
     if back_steps > 0:
         for w in g.adjacency[core[-1]]:
-            if w in used:
-                continue
-            core.append(w)
-            used.add(w)
-            _extend(g, core, used, back_steps - 1, front_steps, out)
-            used.remove(w)
-            core.pop()
+            if w not in core:
+                core.append(w)
+                _extend(g, core, back_steps - 1, front_steps, out)
+                core.pop()
         return
     if front_steps > 0:
         for w in g.adjacency[core[0]]:
-            if w in used:
-                continue
-            core.insert(0, w)
-            used.add(w)
-            _extend(g, core, used, back_steps, front_steps - 1, out)
-            used.remove(w)
-            del core[0]
+            if w not in core:
+                core.insert(0, w)
+                _extend(g, core, back_steps, front_steps - 1, out)
+                del core[0]
         return
     out.append(_canonical(tuple(core)))
 
@@ -120,37 +111,42 @@ def paths_through_edge(g: Graph, e: tuple[int, int], length: int) -> list[PathKe
     out: list[PathKey] = []
     for front_steps in range(length):
         back_steps = length - 1 - front_steps
-        _extend(g, [u, v], {u, v}, back_steps, front_steps, out)
+        _extend(g, [u, v], back_steps, front_steps, out)
     out.sort()
     return out
 
 
 def paths_through_vertex(g: Graph, v: int, length: int) -> list[PathKey]:
     """All simple paths of exactly ``length`` edges containing vertex ``v``."""
-    return sorted(_through_vertex_set(g, v, length))
+    g.neighbors(v)  # raises for an out-of-range vertex
+    if length < 1:
+        raise ValueError(f"path length must be positive, got {length}")
+    return sorted(set(_through_vertices(g, (v,), length)))
 
 
-def _through_vertex_set(g: Graph, v: int, length: int) -> set[PathKey]:
-    # Every path containing v uses at least one edge incident to v.
-    found: set[PathKey] = set()
-    for w in g.neighbors(v):
-        found.update(paths_through_edge(g, mk_edge(v, w), length))
-    return found
+def _through_vertices(g: Graph, vertices: Iterable[int], length: int) -> list[PathKey]:
+    # A path holds v at f steps from one end and length - f from the other.
+    # Growing f <= length // 2 steps before v and the rest after it reaches
+    # every path once, or twice (once per orientation) when f == length / 2.
+    out: list[PathKey] = []
+    for v in vertices:
+        for front_steps in range(length // 2 + 1):
+            _extend(g, [v], length - front_steps, front_steps, out)
+    return out
 
 
 def intersecting_paths(g: Graph, p: PathKey) -> list[PathKey]:
-    """All other paths of ``p``'s length sharing at least one vertex with it."""
-    return sorted(_intersecting_set(g, p))
-
-
-def _intersecting_set(g: Graph, p: PathKey) -> set[PathKey]:
-    found: set[PathKey] = set()
-    for v in p:
-        found.update(_through_vertex_set(g, v, p.length))
-    found.discard(p)
-    return found
+    """Sorted view of :func:`iter_intersecting`."""
+    return sorted(iter_intersecting(g, p))
 
 
 def iter_intersecting(g: Graph, p: PathKey) -> Iterator[PathKey]:
-    """Unsorted variant of :func:`intersecting_paths` for hot loops."""
-    return iter(_intersecting_set(g, p))
+    """All other paths of ``p``'s length sharing at least one vertex with it.
+
+    The enumerator itself: it grows the paths through each vertex of ``p``
+    by local depth-first search and yields the union, minus ``p``, in no
+    particular order.
+    """
+    found = set(_through_vertices(g, p, p.length))
+    found.discard(p)
+    return iter(found)

@@ -41,6 +41,10 @@ def test_load_degree_violation_names_line():
     text = "4 3 1\n0 1\n2 3\n0 2\n"
     with pytest.raises(GraphFormatError, match="line 4"):
         load_graph(io.StringIO(text))
+    # Here the second endpoint, not the first, exceeds the bound.
+    text = "5 2 1\n0 1\n4 1\n"
+    with pytest.raises(GraphFormatError, match="line 3: vertex 1 "):
+        load_graph(io.StringIO(text))
 
 
 def test_load_out_of_range_vertex():

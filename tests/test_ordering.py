@@ -323,6 +323,14 @@ _RANDOM_MODE_PAYLOAD = {
         _edit(lambda p: p["phases"].update({"5": p["phases"].pop("3")})),
         _edit(lambda p: p.update(k=0)),
         _edit(lambda p: p.update(n=1)),
+        _edit(lambda p: p["phases"]["3"]["copies"][0].__setitem__(
+            0, p["phases"]["3"]["copies"][0][0] + 0.9)),
+        _edit(lambda p: p["phases"]["3"]["copies"][0].__setitem__(
+            0, str(p["phases"]["3"]["copies"][0][0]))),
+        _edit(lambda p: p["phases"]["3"].update(modulus=p["phases"]["3"]["modulus"] + 0.5)),
+        _edit(lambda p: p["phases"]["1"].update(length="1")),
+        _edit(lambda p: p["phases"]["1"].update(length=True)),
+        _edit(lambda p: p["phases"]["1"]["copies"][0].__setitem__(0, True)),
     ],
 )
 def test_blob_rejects_malformed_payload(payload):

@@ -130,6 +130,24 @@ def test_enumeration_matches_bruteforce_small():
     assert cases >= 30
 
 
+def test_vertex_enumeration_matches_bruteforce():
+    # Even lengths put some vertices exactly mid-path, where growing from the
+    # vertex meets each path once per orientation.
+    rng = random.Random(5151)
+    for gi in range(6):
+        g = gen_random_bounded(rng.randrange(5, 10), rng.randrange(2, 5), 700 + gi)
+        for length in (1, 2, 3, 4, 5):
+            every = set()
+            for e in g.edges:
+                every |= brute_paths_through_edge(g, e, length)
+            for v in range(g.vertex_count):
+                expected = sorted(p for p in every if v in p)
+                assert paths_through_vertex(g, v, length) == expected
+            for p in sorted(every)[:: max(1, len(every) // 8)]:
+                expected = sorted(q for q in every if q != p and set(q) & set(p))
+                assert intersecting_paths(g, p) == expected
+
+
 @given(
     n=st.integers(4, 25),
     d=st.integers(2, 5),

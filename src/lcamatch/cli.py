@@ -11,10 +11,13 @@ nor --seed-blob is given, the LCAMATCH_RNG_SEED environment variable is the
 fallback, then 0.  Answers go to stdout; --verbose diagnostics go to stderr.
 
 Work counters (query --verbose, bench records): ``f`` counts augmenting-path
-checks, the budgeted unit.  ``closures`` is the number of greedy-MIS
-decisions computed for augmenting paths; each decision's size is 1 plus the
-lower-ranked augmenting neighbours it scanned before it was settled, and
-``max_closure``, ``relevant_mean`` and ``relevant_max`` summarize those sizes.
+checks, the budgeted unit.  Path enumeration keeps only paths that alternate
+between unmatched and matched edges, so each check is made on such a
+candidate and settles whether its two ends are free.  ``closures`` is the
+number of greedy-MIS decisions computed for augmenting paths; each
+decision's size is 1 plus the lower-ranked augmenting neighbours it scanned
+before it was settled, and ``max_closure``, ``relevant_mean`` and
+``relevant_max`` summarize those sizes.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ lines ``u v``.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
@@ -67,24 +68,36 @@ class Graph:
         if d < 0:
             raise ValueError(f"degree bound must be non-negative, got {d}")
         seen: set[tuple[int, int]] = set()
-        nbrs: list[list[int]] = [[] for _ in range(n)]
+        # Lists only for vertices that have an edge: storage follows the
+        # edges read, not the declared vertex count.
+        nbrs: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = mk_edge(u, v)
+            e = (u, v) if u < v else (v, u)  # mk_edge, inlined in this hot loop
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
-            for x, y in ((u, v), (v, u)):
-                nbrs[x].append(y)
-                if len(nbrs[x]) > d:
-                    raise ValueError(
-                        f"vertex {x} has degree {len(nbrs[x])}, exceeds bound {d}"
-                    )
-        adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-        return Graph(n, d, adjacency, frozenset(seen))
+            a = nbrs[u]
+            a.append(v)
+            b = nbrs[v]
+            b.append(u)
+            if len(a) > d or len(b) > d:
+                x = u if len(a) > d else v
+                raise ValueError(f"vertex {x} has degree {len(nbrs[x])}, exceeds bound {d}")
+        # Freeze the edge set first and drop its build copy, so the two sets
+        # and the adjacency tuples are never all alive at once.
+        edge_set = frozenset(seen)
+        del seen
+        for a in nbrs.values():
+            a.sort()
+        # Every isolated vertex shares the one empty tuple.  Popping frees
+        # each list once its tuple exists, so the two never all coexist.
+        pop = nbrs.pop
+        adjacency = tuple(tuple(pop(x, ())) for x in range(n))
+        return Graph(n, d, adjacency, edge_set)
 
     @property
     def edge_count(self) -> int:

@@ -18,7 +18,15 @@ found picked settles ``p`` as not picked.  This is exactly the global greedy
 decision, so query answers across edges are mutually consistent: they all
 describe one fixed matching determined by the graph and the seeds.
 
-Work is bounded by a per-query budget on augmenting-path checks.  A query
+Candidate paths are enumerated alternating only.  An augmenting path of
+phase ``ell`` uses unmatched edges at odd positions and matched edges at even
+positions of the matching after phase ``ell - 2``, so the path search drops a
+branch at its first edge of the wrong status (the alternating search of
+Hopcroft and Karp).  A dropped path is not augmenting, so the greedy rule
+would have passed over it anyway and answers are unchanged.
+
+Work is bounded by a per-query budget on augmenting-path checks: one per
+alternating candidate, which settles whether its two ends are free.  A query
 that would exceed the budget raises :class:`BudgetExceededError` rather than
 returning a guess, so answers are never wrong, merely refused.
 """
@@ -32,7 +40,13 @@ from typing import Callable, Iterable
 
 from .graph import Graph, mk_edge
 from .ordering import Rank, SeedSet, init_seeds, rank
-from .paths import PathKey, canonical_key, iter_intersecting, paths_through_edge
+from .paths import (
+    EdgeFilter,
+    PathKey,
+    canonical_key,
+    iter_intersecting,
+    paths_through_edge,
+)
 
 __all__ = [
     "Engine",
@@ -57,7 +71,8 @@ class BudgetExceededError(RuntimeError):
 class Stats:
     """Counters for one top-level query.
 
-    ``f`` counts augmenting-path checks (the budgeted unit of work),
+    ``f`` counts augmenting-path checks (the budgeted unit of work), made
+    only on alternating candidates and on paths given to a probe,
     ``f_by_phase`` splits the count by phase length, and
     ``relevant_set_sizes`` has one entry per greedy-MIS decision computed for
     an augmenting path during the query: 1 plus the number of lower-ranked
@@ -293,13 +308,25 @@ class Engine:
         flipped = False
         # At most one chosen path can contain e (chosen paths are disjoint),
         # so the first hit settles it.
-        for p in paths_through_edge(self.graph, e, ell):
+        for p in paths_through_edge(self.graph, e, ell, ok=self._alternating(ell)):
             if self._path_in_mis(p, ell):
                 flipped = True
                 break
         res = below != flipped
         self._memo[key] = res
         return res
+
+    def _alternating(self, ell: int) -> EdgeFilter | None:
+        # An augmenting path of phase ell alternates: its odd-position edges
+        # are unmatched after phase ell - 2 and its even-position ones are
+        # matched.  Enumerating under this filter drops a candidate at its
+        # first wrong edge; only the free-end test is left to _augmenting.
+        # Phase 1 augments the empty matching, so it needs no filter.
+        if ell == 1:
+            return None
+        below = ell - 2
+        in_matching = self._in_matching
+        return lambda e, i: in_matching(e, below) == (i % 2 == 0)
 
     def _rank(self, p: PathKey) -> Rank:
         # A path's length is its phase, so the path alone keys the cache.
@@ -320,7 +347,7 @@ class Engine:
             p_rank = rank_of(p)
             lower = [
                 q
-                for q in iter_intersecting(self.graph, p)
+                for q in iter_intersecting(self.graph, p, ok=self._alternating(ell))
                 if self._augmenting(q, ell) and rank_of(q) < p_rank
             ]
             lower.sort(key=rank_of)

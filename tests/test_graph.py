@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -134,3 +135,18 @@ def test_generator_graphs_well_formed(n, d, seed):
     for u, v in g.edges:
         assert u < v
         assert v < n
+
+
+def test_load_sizes_storage_by_edges_read():
+    # A header may declare millions of vertices with no edge behind them;
+    # each isolated vertex shares one empty tuple instead of its own list.
+    tracemalloc.start()
+    try:
+        g = load_graph(io.StringIO("2000000 0 1\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 2_000_000 and g.edge_count == 0
+    assert g.neighbors(1_999_999) == ()
+    # The adjacency tuple's 2M pointers alone take 16 MB.
+    assert peak < 32 * 2**20

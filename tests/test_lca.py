@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import random
 import time
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcamatch.lca as lca
 from lcamatch.graph import gen_random_bounded
 from lcamatch.lca import (
     BudgetExceededError,
@@ -414,3 +417,44 @@ def test_per_query_refusals_do_not_depend_on_query_order():
         refused_sets.append(refused)
     assert refused_sets[0] == refused_sets[1]
     assert 0 < len(refused_sets[0]) < len(edges)
+
+
+@pytest.mark.parametrize(
+    "n, seed, k, digest",
+    [
+        # sha256 of repr(sorted(matching)), pinned from an engine that
+        # enumerated every path and filtered augmenting ones afterwards.
+        (1024, 1, 3, "b8ff195137863748"),
+        (4096, 2, 2, "cf9784c1931235b6"),
+    ],
+)
+def test_benchmark_scale_matching_is_pinned(n, seed, k, digest):
+    g = gen_random_bounded(n, 3, seed)
+    m = Engine(g, k=k).materialize()
+    assert hashlib.sha256(repr(sorted(m)).encode()).hexdigest()[:16] == digest
+    sample = random.Random(seed).sample(g.sorted_edges(), 50)
+    per_query = Engine(g, k=k, cache_mode="per_query")
+    assert [per_query.query(e) for e in sample] == [e in m for e in sample]
+
+
+def test_queries_reach_the_enumerators_through_module_globals(monkeypatch):
+    # perfbench/layertrace.py times the path layer by swapping these lca
+    # globals and reads the Stats fields below; a query that bypassed them
+    # would leave the benchmark trace blind.
+    calls = collections.Counter()
+    for name in ("iter_intersecting", "paths_through_edge"):
+
+        def counted(*args, _fn=getattr(lca, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(lca, name, counted)
+    for name in ("rank", "greedy_mis", "intersection_edges"):
+        assert callable(getattr(lca, name))
+    eng = Engine(gen_random_bounded(64, 3, 5), k=3)
+    eng.query(eng.graph.sorted_edges()[0])
+    assert calls["iter_intersecting"] > 0
+    assert calls["paths_through_edge"] > 0
+    s = eng.last_stats
+    assert s.f == sum(s.f_by_phase.values()) > 0
+    assert s.relevant_set_sizes

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from lcamatch.paths import (
     PathKey,
     canonical_key,
     intersecting_paths,
+    iter_intersecting,
     paths_through_edge,
     paths_through_vertex,
 )
@@ -146,6 +148,52 @@ def test_vertex_enumeration_matches_bruteforce():
             for p in sorted(every)[:: max(1, len(every) // 8)]:
                 expected = sorted(q for q in every if q != p and set(q) & set(p))
                 assert intersecting_paths(g, p) == expected
+
+
+def random_matching(g, rng):
+    edges = g.sorted_edges()
+    rng.shuffle(edges)
+    matching, covered = set(), set()
+    for u, v in edges:
+        if u not in covered and v not in covered and rng.random() < 0.7:
+            matching.add((u, v))
+            covered |= {u, v}
+    return matching
+
+
+def test_filtered_enumeration_keeps_exactly_the_alternating_paths():
+    # The engine's filter: the i-th edge must be matched iff i is even.  For
+    # odd lengths that reads the same from either end of a path.
+    rng = random.Random(6262)
+    graphs = 0
+    kept = collections.Counter()
+    for gi in range(8):
+        g = gen_random_bounded(rng.randrange(6, 11), rng.randrange(2, 5), 600 + gi)
+        if g.edge_count == 0:
+            continue
+        graphs += 1
+        matching = random_matching(g, rng)
+        for length in (1, 3, 5):
+
+            def ok(e, i):
+                assert e in g.edges and 1 <= i <= length
+                return (e in matching) == (i % 2 == 0)
+
+            def alternates(p):
+                return all(ok(e, i) for i, e in enumerate(p.edge_seq(), start=1))
+
+            every = set()
+            for e in g.sorted_edges():
+                through = paths_through_edge(g, e, length)
+                every |= set(through)
+                expected = [p for p in through if alternates(p)]
+                assert paths_through_edge(g, e, length, ok=ok) == expected
+                kept[length] += len(expected)
+            for p in sorted(every)[:: max(1, len(every) // 10)]:
+                expected = {q for q in iter_intersecting(g, p) if alternates(q)}
+                assert set(iter_intersecting(g, p, ok=ok)) == expected
+    assert graphs >= 6
+    assert kept[3] > 0 and kept[5] > 0
 
 
 @given(

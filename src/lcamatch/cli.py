@@ -137,6 +137,9 @@ def _fmt(value) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    for flag, value in (("--trials", args.trials), ("--queries", args.queries)):
+        if value < 0:
+            raise ValueError(f"{flag} must not be negative, got {value}")
     base = _resolve_rng_seed(args)
     for n in args.n:
         for trial in range(args.trials):

@@ -36,9 +36,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 from .graph import Graph, mk_edge
+# Not used by the engine: the benchmark's layer tracer (perfbench/layertrace.py)
+# looks these two names up on this module.  The line goes when ROADMAP item 1
+# drops their two metrics, which read 0.
+from .oracles import greedy_mis, intersection_edges  # noqa: F401
 from .ordering import Rank, SeedSet, init_seeds, rank
 from .paths import (
     EdgeFilter,
@@ -51,16 +54,11 @@ from .paths import (
 __all__ = [
     "Engine",
     "Stats",
-    "ConflictSubgraph",
     "BudgetExceededError",
-    "greedy_mis",
-    "intersection_edges",
     "DEFAULT_BUDGET",
 ]
 
 DEFAULT_BUDGET = 10**6
-
-RankKey = Callable[[PathKey], "Rank | tuple[int, ...]"]
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,59 +81,6 @@ class Stats:
     f_by_phase: dict[int, int] = field(default_factory=dict)
     relevant_set_sizes: list[int] = field(default_factory=list)
     wall_time: float = 0.0
-
-
-@dataclass(frozen=True)
-class ConflictSubgraph:
-    """A fragment of one phase's conflict graph.
-
-    Nodes are augmenting paths of the phase length; edges join paths sharing
-    a vertex.  The engine never builds one: it is the explicit form that the
-    global reference run in :mod:`lcamatch.oracles` hands to
-    :func:`greedy_mis`.
-    """
-
-    nodes: frozenset[PathKey]
-    edges: frozenset[tuple[PathKey, PathKey]]
-
-    def adjacency(self) -> dict[PathKey, set[PathKey]]:
-        adj: dict[PathKey, set[PathKey]] = {p: set() for p in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-
-def intersection_edges(nodes: Iterable[PathKey]) -> frozenset[tuple[PathKey, PathKey]]:
-    """All vertex-sharing pairs among ``nodes``, as ordered key pairs."""
-    by_vertex: dict[int, list[PathKey]] = {}
-    for p in nodes:
-        for v in p:
-            by_vertex.setdefault(v, []).append(p)
-    out: set[tuple[PathKey, PathKey]] = set()
-    for bucket in by_vertex.values():
-        if len(bucket) < 2:
-            continue
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                a, b = bucket[i], bucket[j]
-                out.add((a, b) if a < b else (b, a))
-    return frozenset(out)
-
-
-def greedy_mis(subgraph: ConflictSubgraph, key: RankKey) -> set[PathKey]:
-    """Greedy maximal independent set under the given total order.
-
-    Nodes are visited in ascending rank; a node joins the set unless a
-    neighbor already did.  The result depends only on the subgraph and the
-    order, not on anything about how the subgraph was discovered.
-    """
-    adj = subgraph.adjacency()
-    chosen: set[PathKey] = set()
-    for node in sorted(subgraph.nodes, key=key):
-        if all(nb not in chosen for nb in adj[node]):
-            chosen.add(node)
-    return chosen
 
 
 class _Forgetful(dict):

@@ -1,19 +1,24 @@
-"""Small-instance reference implementations.
+"""Small-instance and global reference implementations.
 
 Everything here recomputes globally what the query engine computes locally,
 by the most transparent method available: exhaustive branching for maximum
-matchings, exhaustive alternating-path search, full conflict-graph
-materialization, and a direct phase-by-phase run of the global scheme.
-Hard size guards keep the combinatorial blowup honest; these functions are
-for tests and certification, not production runs.
+matchings, an alternating depth-first search from every free vertex for
+augmenting paths, and a direct phase-by-phase run of the global scheme that
+sorts each phase's augmenting paths and keeps the vertex-disjoint ones.  No
+conflict graph is ever built, and none of this shares code with the engine's
+path enumeration or lazy rank keys, so the two cannot share a bug.  Only the
+brute-force matching oracle carries a size guard; the global run scales to
+benchmark-sized graphs.  These functions are for tests and certification,
+not production runs.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable, Iterable, Iterator
+
 from .graph import Graph, mk_edge
-from .lca import ConflictSubgraph, greedy_mis, intersection_edges
 from .ordering import SeedSet, primary_rank
-from .paths import PathKey, paths_through_edge
+from .paths import PathKey
 
 __all__ = [
     "SizeLimitError",
@@ -21,12 +26,13 @@ __all__ = [
     "max_matching_bruteforce",
     "find_augmenting_path",
     "is_augmenting_for",
-    "build_conflict_graph",
+    "augmenting_paths",
+    "intersection_edges",
+    "greedy_mis",
     "abstract_distributed_mm",
 ]
 
 MAX_BRUTEFORCE_EDGES = 24
-MAX_CONFLICT_VERTICES = 30
 
 
 class SizeLimitError(ValueError):
@@ -94,57 +100,60 @@ def _require_matching(g: Graph, matching) -> dict[int, int]:
     return partner
 
 
+def _key(seq: tuple[int, ...]) -> PathKey:
+    return PathKey(min(seq, seq[::-1]))
+
+
+def _augmenting_walks(
+    g: Graph, partner: dict[int, int], max_len: int
+) -> Iterator[tuple[int, ...]]:
+    """Every augmenting path of at most ``max_len`` edges, once from each end.
+
+    One depth-first search over alternating simple paths from each free
+    vertex, in ascending vertex order: an unmatched edge out of an even
+    position, the matched edge out of an odd one.  A walk ends at the first
+    free vertex it reaches, since an augmenting path has no free inner vertex.
+    """
+
+    def grow(path: list[int]) -> Iterator[tuple[int, ...]]:
+        x = path[-1]
+        if len(path) % 2 == 0:
+            # Odd length: x was reached over an unmatched edge.
+            y = partner.get(x)
+            if y is None:
+                yield tuple(path)
+            elif len(path) <= max_len:
+                path.append(y)
+                yield from grow(path)
+                path.pop()
+        elif len(path) <= max_len:
+            # Every path vertex but the free root is matched to a neighbour
+            # on the path, so each edge to a vertex off the path is unmatched.
+            for y in g.adjacency[x]:
+                if y not in path:
+                    path.append(y)
+                    yield from grow(path)
+                    path.pop()
+
+    for r in range(g.vertex_count):
+        if r not in partner:
+            yield from grow([r])
+
+
 def find_augmenting_path(
     g: Graph, matching: frozenset[tuple[int, int]] | set[tuple[int, int]], max_len: int
 ) -> PathKey | None:
     """Some augmenting path of at most ``max_len`` edges, or None.
 
-    Exhaustive depth-first search over alternating simple paths from each
-    free vertex, in ascending vertex order.  With the empty matching this
-    returns a single edge whenever any exists.
+    The first path the alternating search from the free vertices meets, in
+    ascending order of its start.  With the empty matching this returns a
+    single edge whenever any exists.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     partner = _require_matching(g, matching)
-
-    def search(path: list[int], used: set[int]) -> list[int] | None:
-        x = path[-1]
-        length = len(path) - 1
-        if length % 2 == 1 and x not in partner:
-            return list(path)
-        if length >= max_len:
-            return None
-        if length % 2 == 0:
-            for y in g.neighbors(x):
-                if y in used or partner.get(x) == y:
-                    continue
-                path.append(y)
-                used.add(y)
-                hit = search(path, used)
-                used.remove(y)
-                path.pop()
-                if hit is not None:
-                    return hit
-        else:
-            y = partner.get(x)
-            if y is not None and y not in used:
-                path.append(y)
-                used.add(y)
-                hit = search(path, used)
-                used.remove(y)
-                path.pop()
-                if hit is not None:
-                    return hit
-        return None
-
-    for r in range(g.vertex_count):
-        if r in partner:
-            continue
-        hit = search([r], {r})
-        if hit is not None:
-            seq = tuple(hit)
-            rev = seq[::-1]
-            return PathKey(seq if seq <= rev else rev)
+    for walk in _augmenting_walks(g, partner, max_len):
+        return _key(walk)
     return None
 
 
@@ -163,31 +172,47 @@ def is_augmenting_for(g: Graph, p: PathKey, matching) -> bool:
     return p[0] not in covered and p[-1] not in covered
 
 
-def _all_paths(g: Graph, length: int) -> set[PathKey]:
-    found: set[PathKey] = set()
-    for e in g.edges:
-        found.update(paths_through_edge(g, e, length))
-    return found
-
-
-def build_conflict_graph(g: Graph, matching, ell: int) -> ConflictSubgraph:
-    """The full conflict graph of phase ``ell`` over an explicit matching.
-
-    Nodes are all augmenting paths of exactly ``ell`` edges, edges join
-    vertex-sharing pairs.  Guarded to graphs of at most 30 vertices.
-    """
-    if g.vertex_count > MAX_CONFLICT_VERTICES:
-        raise SizeLimitError(
-            f"conflict-graph materialization limited to {MAX_CONFLICT_VERTICES} "
-            f"vertices, got {g.vertex_count}"
-        )
+def augmenting_paths(g: Graph, matching, ell: int) -> frozenset[PathKey]:
+    """All augmenting paths of exactly ``ell`` edges for an explicit matching."""
     if ell < 1 or ell % 2 == 0:
         raise ValueError(f"phase length must be odd and positive, got {ell}")
-    _require_matching(g, matching)
-    nodes = frozenset(
-        p for p in _all_paths(g, ell) if is_augmenting_for(g, p, matching)
+    partner = _require_matching(g, matching)
+    return frozenset(
+        _key(walk) for walk in _augmenting_walks(g, partner, ell) if len(walk) == ell + 1
     )
-    return ConflictSubgraph(nodes, intersection_edges(nodes))
+
+
+def intersection_edges(nodes: Iterable[PathKey]) -> frozenset[tuple[PathKey, PathKey]]:
+    """All vertex-sharing pairs among ``nodes``, as ordered key pairs."""
+    by_vertex: dict[int, list[PathKey]] = {}
+    for p in nodes:
+        for v in p:
+            by_vertex.setdefault(v, []).append(p)
+    out: set[tuple[PathKey, PathKey]] = set()
+    for bucket in by_vertex.values():
+        if len(bucket) < 2:
+            continue
+        for i in range(len(bucket)):
+            for j in range(i + 1, len(bucket)):
+                a, b = bucket[i], bucket[j]
+                out.add((a, b) if a < b else (b, a))
+    return frozenset(out)
+
+
+def greedy_mis(paths: Iterable[PathKey], key: Callable[[PathKey], Any]) -> set[PathKey]:
+    """Greedy maximal independent set of the paths' conflict graph.
+
+    Paths are visited in ascending ``key``; a path is kept unless it shares a
+    vertex with a path already kept.  The result depends only on the paths
+    and the order.
+    """
+    covered: set[int] = set()
+    chosen: set[PathKey] = set()
+    for p in sorted(paths, key=key):
+        if covered.isdisjoint(p):
+            chosen.add(p)
+            covered.update(p)
+    return chosen
 
 
 def abstract_distributed_mm(
@@ -196,17 +221,20 @@ def abstract_distributed_mm(
     """Global phase-by-phase run of the matching scheme.
 
     The ground truth the query engine must agree with edge for edge, given
-    the same seeds.  Subject to the conflict-graph size guard.
+    the same seeds.  Each phase keeps, in ascending seeded rank, every
+    augmenting path of the phase length that is vertex-disjoint from those
+    already kept, then flips the kept paths.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     matching: frozenset[tuple[int, int]] = frozenset()
     for ell in range(1, 2 * k, 2):
-        conflict = build_conflict_graph(g, matching, ell)
         seed = seeds.phase(ell)
         # The eager rank tuple, not the engine's lazy ordering.Rank key, so
         # that this reference checks the lazy comparison too.
-        chosen = greedy_mis(conflict, lambda p: (primary_rank(p, seed), *p))
+        chosen = greedy_mis(
+            augmenting_paths(g, matching, ell), lambda p: (primary_rank(p, seed), *p)
+        )
         flipped: set[tuple[int, int]] = set()
         for p in chosen:
             flipped.update(p.edge_seq())

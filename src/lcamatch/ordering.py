@@ -39,7 +39,6 @@ __all__ = [
     "primary_rank",
     "Rank",
     "rank",
-    "precedes",
     "seedset_to_blob",
     "seedset_from_blob",
 ]
@@ -286,17 +285,6 @@ class Rank:
 def rank(p: PathKey, seed: Seed) -> Rank:
     """Totally ordered rank: primary bits first, canonical key as tie-break."""
     return Rank(p, seed)
-
-
-def precedes(p: PathKey, q: PathKey, seed: Seed) -> bool:
-    """Strict order between two distinct paths of the seed's phase length."""
-    if p == q:
-        raise ValueError("precedes needs two distinct paths")
-    if p.length != q.length:
-        raise ValueError(
-            f"paths of different lengths {p.length} and {q.length} are not comparable"
-        )
-    return rank(p, seed) < rank(q, seed)
 
 
 _BLOB_VERSION = 1

@@ -151,6 +151,15 @@ def test_bench_zero_trials(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--queries"])
+def test_bench_rejects_negative_counts(flag, capsys):
+    rc = main(["bench", "--n", "8", "--d", "2", "--eps", "1.0", flag, "-1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_querytree_csv(capsys):
     rc = main(["querytree", "--d", "2", "--trials", "2000", "--cap", "40",
                "--rng-seed", "2"])

@@ -1,26 +1,25 @@
 import collections
 import hashlib
+import importlib.util
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcamatch.lca as lca
+import lcamatch.oracles as oracles
 from lcamatch.graph import gen_random_bounded
-from lcamatch.lca import (
-    BudgetExceededError,
-    ConflictSubgraph,
-    Engine,
-    greedy_mis,
-    intersection_edges,
-)
+from lcamatch.lca import BudgetExceededError, Engine
 from lcamatch.ordering import init_seeds, rank
 from lcamatch.oracles import (
     abstract_distributed_mm,
-    build_conflict_graph,
+    augmenting_paths,
     find_augmenting_path,
+    greedy_mis,
+    intersection_edges,
     is_augmenting_for,
     verify_matching,
 )
@@ -135,22 +134,24 @@ def test_path_in_mis_non_augmenting_root_is_out():
 
 def test_greedy_mis_toy_orders():
     a, b, c = PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))
-    sub = ConflictSubgraph(frozenset({a, b, c}), intersection_edges({a, b, c}))
-    assert greedy_mis(sub, {a: 1, b: 2, c: 3}.get) == {a, c}
-    assert greedy_mis(sub, {a: 2, b: 1, c: 3}.get) == {b}
-    assert greedy_mis(ConflictSubgraph(frozenset(), frozenset()), int) == set()
+    assert greedy_mis({a, b, c}, {a: 1, b: 2, c: 3}.get) == {a, c}
+    assert greedy_mis({a, b, c}, {a: 2, b: 1, c: 3}.get) == {b}
+    assert greedy_mis(frozenset(), int) == set()
 
 
 def test_greedy_mis_is_maximal_and_independent():
     g = petersen_graph()
-    c = build_conflict_graph(g, set(), 1)
+    nodes = augmenting_paths(g, set(), 1)
     eng = Engine(g, k=1, rng_seed=2)
     seed = eng.seeds.phase(1)
-    chosen = greedy_mis(c, lambda p: rank(p, seed))
-    adj = c.adjacency()
+    chosen = greedy_mis(nodes, lambda p: rank(p, seed))
+    adj = {p: set() for p in nodes}
+    for a, b in intersection_edges(nodes):
+        adj[a].add(b)
+        adj[b].add(a)
     for node in chosen:
         assert not (adj[node] & chosen)
-    for node in c.nodes - chosen:
+    for node in nodes - chosen:
         assert adj[node] & chosen
 
 
@@ -167,10 +168,10 @@ def test_path_in_mis_matches_global_for_every_path():
             eng = Engine(g, k=2, seeds=ss)
             matching = frozenset()
             for ell in (1, 3):
-                conflict = build_conflict_graph(g, matching, ell)
+                nodes = augmenting_paths(g, matching, ell)
                 s = ss.phases[ell]
-                chosen = greedy_mis(conflict, lambda p: rank(p, s))
-                for p in conflict.nodes:
+                chosen = greedy_mis(nodes, lambda p: rank(p, s))
+                for p in nodes:
                     assert eng.is_path_in_mis(p, ell) == (p in chosen)
                 flipped = {e for p in chosen for e in p.edge_seq()}
                 matching = matching ^ flipped
@@ -430,17 +431,32 @@ def test_per_query_refusals_do_not_depend_on_query_order():
 )
 def test_benchmark_scale_matching_is_pinned(n, seed, k, digest):
     g = gen_random_bounded(n, 3, seed)
-    m = Engine(g, k=k).materialize()
+    eng = Engine(g, k=k)
+    m = eng.materialize()
     assert hashlib.sha256(repr(sorted(m)).encode()).hexdigest()[:16] == digest
+    assert m == abstract_distributed_mm(g, k, eng.seeds)
     sample = random.Random(seed).sample(g.sorted_edges(), 50)
     per_query = Engine(g, k=k, cache_mode="per_query")
     assert [per_query.query(e) for e in sample] == [e in m for e in sample]
 
 
+def _tracer_layers() -> dict:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
 def test_queries_reach_the_enumerators_through_module_globals(monkeypatch):
-    # perfbench/layertrace.py times the path layer by swapping these lca
-    # globals and reads the Stats fields below; a query that bypassed them
-    # would leave the benchmark trace blind.
+    # perfbench/layertrace.py times the layers by swapping the lca globals
+    # it lists in LAYERS and reads the Stats fields below; a query that
+    # bypassed them would leave the benchmark trace blind, and a name
+    # missing from lca would stop the benchmark.
+    for name in _tracer_layers():
+        assert callable(getattr(lca, name)), name
+    assert lca.greedy_mis is oracles.greedy_mis
+    assert lca.intersection_edges is oracles.intersection_edges
     calls = collections.Counter()
     for name in ("iter_intersecting", "paths_through_edge"):
 
@@ -449,8 +465,6 @@ def test_queries_reach_the_enumerators_through_module_globals(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(lca, name, counted)
-    for name in ("rank", "greedy_mis", "intersection_edges"):
-        assert callable(getattr(lca, name))
     eng = Engine(gen_random_bounded(64, 3, 5), k=3)
     eng.query(eng.graph.sorted_edges()[0])
     assert calls["iter_intersecting"] > 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from lcamatch.ordering import init_seeds
 from lcamatch.oracles import (
     SizeLimitError,
     abstract_distributed_mm,
-    build_conflict_graph,
+    augmenting_paths,
     find_augmenting_path,
+    intersection_edges,
     is_augmenting_for,
     max_matching_bruteforce,
     verify_matching,
@@ -105,9 +107,9 @@ def test_is_augmenting_for_patterns():
 
 def test_conflict_graph_p4_phase1_is_line_graph():
     g = path_graph(4)
-    c = build_conflict_graph(g, set(), 1)
-    assert c.nodes == {PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))}
-    assert c.edges == {
+    nodes = augmenting_paths(g, set(), 1)
+    assert nodes == {PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))}
+    assert intersection_edges(nodes) == {
         (PathKey((0, 1)), PathKey((1, 2))),
         (PathKey((1, 2)), PathKey((2, 3))),
     }
@@ -115,27 +117,55 @@ def test_conflict_graph_p4_phase1_is_line_graph():
 
 def test_conflict_graph_c5_phase1():
     g = cycle_graph(5)
-    c = build_conflict_graph(g, set(), 1)
-    assert len(c.nodes) == 5
-    assert len(c.edges) == 5
+    nodes = augmenting_paths(g, set(), 1)
+    assert len(nodes) == 5
+    assert len(intersection_edges(nodes)) == 5
 
 
 def test_conflict_graph_respects_matching():
     g = path_graph(4)
-    c = build_conflict_graph(g, {(1, 2)}, 3)
-    assert c.nodes == {PathKey((0, 1, 2, 3))}
-    assert c.edges == frozenset()
-    c1 = build_conflict_graph(g, {(1, 2)}, 1)
-    assert c1.nodes == frozenset()
+    nodes = augmenting_paths(g, {(1, 2)}, 3)
+    assert nodes == {PathKey((0, 1, 2, 3))}
+    assert intersection_edges(nodes) == frozenset()
+    assert augmenting_paths(g, {(1, 2)}, 1) == frozenset()
 
 
-def test_conflict_graph_guards():
-    big = gen_random_bounded(31, 3, 1)
-    with pytest.raises(SizeLimitError):
-        build_conflict_graph(big, set(), 1)
+def test_augmenting_paths_validation():
     g = path_graph(4)
     with pytest.raises(ValueError, match="odd"):
-        build_conflict_graph(g, set(), 2)
+        augmenting_paths(g, set(), 2)
+    with pytest.raises(ValueError, match="not a matching"):
+        augmenting_paths(g, {(0, 1), (1, 2)}, 3)
+
+
+def _random_matching(g, rng):
+    edges = g.sorted_edges()
+    rng.shuffle(edges)
+    covered, matching = set(), set()
+    for u, v in edges:
+        if u not in covered and v not in covered and rng.random() < 0.6:
+            matching.add((u, v))
+            covered.update((u, v))
+    return matching
+
+
+def test_augmenting_paths_match_brute_force():
+    # every vertex sequence of ell + 1 distinct vertices, kept when it is a
+    # path of g that augments the matching
+    rng = random.Random(3)
+    for gi in range(12):
+        n = rng.randrange(4, 9)
+        g = gen_random_bounded(n, rng.randrange(2, 5), 700 + gi)
+        for _ in range(2):
+            matching = _random_matching(g, rng)
+            for ell in (1, 3, 5):
+                expected = set()
+                for seq in itertools.permutations(range(n), ell + 1):
+                    if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+                        p = canonical_key(g, seq)
+                        if is_augmenting_for(g, p, matching):
+                            expected.add(p)
+                assert augmenting_paths(g, matching, ell) == expected
 
 
 def test_abstract_mm_k2_on_p4_forced():

@@ -15,7 +15,6 @@ from lcamatch.ordering import (
     encode_path,
     eval_poly,
     init_seeds,
-    precedes,
     primary_rank,
     Rank,
     rank,
@@ -113,8 +112,8 @@ def test_all_zero_copies_force_tie_break():
     s = Seed(base=6, length=1, modulus=7, copies=((0, 0), (0, 0)))
     p, q = PathKey((0, 1)), PathKey((1, 2))
     assert primary_rank(p, s) == primary_rank(q, s) == 0
-    assert precedes(p, q, s)  # lexicographic key decides
-    assert not precedes(q, p, s)
+    assert rank(p, s) < rank(q, s)  # lexicographic key decides
+    assert not rank(q, s) < rank(p, s)
 
 
 def _eager_key(seed):
@@ -179,15 +178,6 @@ def test_rank_rejects_wrong_length():
         primary_rank(PathKey((0, 1)), ss.phases[3])
 
 
-def test_precedes_validation():
-    ss = init_seeds(2, 8, 5)
-    p = PathKey((0, 1))
-    with pytest.raises(ValueError, match="distinct"):
-        precedes(p, p, ss.phases[1])
-    with pytest.raises(ValueError, match="length"):
-        precedes(p, PathKey((0, 1, 2, 3)), ss.phases[1])
-
-
 def test_precedes_totality_and_transitivity():
     g = gen_random_bounded(14, 3, 11)
     ss = init_seeds(2, 14, 17)
@@ -195,12 +185,12 @@ def test_precedes_totality_and_transitivity():
     paths = all_paths_of_length(g, 3)
     assert len(paths) >= 8
     for p, q in itertools.combinations(paths[:12], 2):
-        assert precedes(p, q, s) != precedes(q, p, s)
+        assert (rank(p, s) < rank(q, s)) != (rank(q, s) < rank(p, s))
     rng = random.Random(0)
     for _ in range(300):
         p, q, r = rng.sample(paths, 3)
-        if precedes(p, q, s) and precedes(q, r, s):
-            assert precedes(p, r, s)
+        if rank(p, s) < rank(q, s) and rank(q, s) < rank(r, s):
+            assert rank(p, s) < rank(r, s)
 
 
 def test_pairwise_uniformity_exhaustive_mod7():

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Usage:
-    lcamatch query --graph FILE --eps EPS --edge "u v" [--rng-seed S | --seed-blob HEX]
+    lcamatch query --graph FILE --eps EPS --edge "u v" [--rng-seed S | --seed-blob HEX|@FILE]
     lcamatch materialize --graph FILE --eps EPS [--format text|records]
     lcamatch bench --n 256,1024 --d 3 --eps 0.5 --trials 3 [--queries 50]
     lcamatch querytree --d 3 --trials 100000 --cap 500 [--format csv|text]
@@ -56,7 +56,8 @@ def _int_list(text: str) -> list[int]:
 def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--rng-seed", type=int, default=None, help="integer seed")
-    group.add_argument("--seed-blob", type=str, default=None, help="hex seed blob")
+    group.add_argument("--seed-blob", type=str, default=None,
+                       help="hex seed blob, or @FILE to read it from FILE")
 
 
 def _resolve_rng_seed(args: argparse.Namespace) -> int:
@@ -78,7 +79,13 @@ def _load_graph_file(path: str):
 
 def _build_engine(args: argparse.Namespace, g) -> Engine:
     if args.seed_blob is not None:
-        seeds = seedset_from_blob(args.seed_blob)
+        blob = args.seed_blob
+        # Hex never starts with "@".  A file carries blobs too long for one
+        # command-line argument (the kernel caps those at 128 KiB).
+        if blob.startswith("@"):
+            with open(blob[1:], "r", encoding="ascii") as fh:
+                blob = "".join(fh.read().split())
+        seeds = seedset_from_blob(blob)
         return Engine(g, eps=args.eps, seeds=seeds, budget=args.budget)
     return Engine(g, eps=args.eps, rng_seed=_resolve_rng_seed(args), budget=args.budget)
 

@@ -46,7 +46,9 @@ class Graph:
     degree_bound:
         Declared bound ``d``; every vertex has degree at most ``d``.
     adjacency:
-        Per-vertex sorted neighbor tuples.
+        Sorted neighbor tuples of vertices ``0`` up to the highest one with an
+        edge; the vertices above it are isolated.  :meth:`neighbors` covers
+        every vertex.
     edges:
         Frozenset of canonical ``(u, v)`` pairs with ``u < v``.
     """
@@ -93,10 +95,12 @@ class Graph:
         del seen
         for a in nbrs.values():
             a.sort()
-        # Every isolated vertex shares the one empty tuple.  Popping frees
-        # each list once its tuple exists, so the two never all coexist.
+        # Tuples run up to the highest vertex with an edge; the ones above
+        # it are isolated and stored nowhere.  Below it, isolated vertices
+        # share the one empty tuple.  Popping frees each list once its tuple
+        # exists, so the two never all coexist.
         pop = nbrs.pop
-        adjacency = tuple(tuple(pop(x, ())) for x in range(n))
+        adjacency = tuple(tuple(pop(x, ())) for x in range(max(nbrs, default=-1) + 1))
         return Graph(n, d, adjacency, edge_set)
 
     @property
@@ -107,7 +111,7 @@ class Graph:
         """Sorted neighbors of ``v``; raises for out-of-range ids."""
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex {v} out of range for n={self.vertex_count}")
-        return self.adjacency[v]
+        return self.adjacency[v] if v < len(self.adjacency) else ()
 
     def has_edge(self, u: int, v: int) -> bool:
         return mk_edge(u, v) in self.edges

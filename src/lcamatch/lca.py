@@ -23,7 +23,9 @@ phase ``ell`` uses unmatched edges at odd positions and matched edges at even
 positions of the matching after phase ``ell - 2``, so the path search drops a
 branch at its first edge of the wrong status (the alternating search of
 Hopcroft and Karp).  A dropped path is not augmenting, so the greedy rule
-would have passed over it anyway and answers are unchanged.
+would have passed over it anyway and answers are unchanged.  The raw path
+given to a probe meets the same edge filter, the engine's one alternation
+test, and is out if it fails.
 
 Work is bounded by a per-query budget on augmenting-path checks: one per
 alternating candidate, which settles whether its two ends are free.  A query
@@ -70,8 +72,8 @@ class Stats:
     """Counters for one top-level query.
 
     ``f`` counts augmenting-path checks (the budgeted unit of work), made
-    only on alternating candidates and on paths given to a probe,
-    ``f_by_phase`` splits the count by phase length, and
+    only on alternating candidates: a path given to a probe is counted only
+    if it alternates.  ``f_by_phase`` splits the count by phase length, and
     ``relevant_set_sizes`` has one entry per greedy-MIS decision computed for
     an augmenting path during the query: 1 plus the number of lower-ranked
     augmenting neighbours that decision scanned.
@@ -191,12 +193,12 @@ class Engine:
     def is_path_in_mis(self, p: PathKey, ell: int) -> bool:
         """Whether phase ``ell`` picked ``p`` into its independent set."""
         p = self._check_path(p, ell)
-        return self._run(lambda: self._path_in_mis(p, ell))
+        return self._run(lambda: self._alternates(p, ell) and self._path_in_mis(p, ell))
 
     def is_augmenting_path(self, p: PathKey, ell: int) -> bool:
         """Whether ``p`` augments the matching left by phase ``ell - 2``."""
         p = self._check_path(p, ell)
-        return self._run(lambda: self._augmenting(p, ell))
+        return self._run(lambda: self._alternates(p, ell) and self._augmenting(p, ell))
 
     def is_free(self, v: int, ell: int) -> bool:
         """Whether vertex ``v`` is unmatched after phase ``ell - 2``."""
@@ -273,6 +275,11 @@ class Engine:
         in_matching = self._in_matching
         return lambda e, i: in_matching(e, below) == (i % 2 == 0)
 
+    def _alternates(self, p: PathKey, ell: int) -> bool:
+        # A probe's path was not enumerated, so it meets the filter here.
+        ok = self._alternating(ell)
+        return ok is None or all(ok(e, i) for i, e in enumerate(p.edge_seq(), start=1))
+
     def _rank(self, p: PathKey) -> Rank:
         # A path's length is its phase, so the path alone keys the cache.
         t = self._ranks.get(p)
@@ -309,6 +316,8 @@ class Engine:
         return res
 
     def _augmenting(self, p: PathKey, ell: int) -> bool:
+        # p alternates: the enumerators and the probes admit only paths that
+        # pass _alternating(ell).  So only its two ends are left to check.
         stats = self._stats
         stats.f += 1
         stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + 1
@@ -316,22 +325,8 @@ class Engine:
             raise BudgetExceededError(
                 f"query exceeded budget of {self.budget} augmenting-path checks"
             )
-        if ell == 1:
-            # Phase 1 augments the empty matching: every edge qualifies.
-            return True
-        key = ("a", p, ell)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        res = True
-        for i, e in enumerate(p.edge_seq(), start=1):
-            if self._in_matching(e, ell - 2) != (i % 2 == 0):
-                res = False
-                break
-        if res:
-            res = self._free(p[0], ell) and self._free(p[-1], ell)
-        self._memo[key] = res
-        return res
+        # Phase 1 augments the empty matching: every edge qualifies.
+        return ell == 1 or (self._free(p[0], ell) and self._free(p[-1], ell))
 
     def _free(self, v: int, ell: int) -> bool:
         key = ("f", v, ell)
@@ -339,7 +334,7 @@ class Engine:
         if cached is not None:
             return cached
         res = True
-        for u in self.graph.adjacency[v]:
+        for u in self.graph.neighbors(v):
             if self._in_matching(mk_edge(v, u), ell - 2):
                 res = False
                 break

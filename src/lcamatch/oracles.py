@@ -135,7 +135,8 @@ def _augmenting_walks(
                     yield from grow(path)
                     path.pop()
 
-    for r in range(g.vertex_count):
+    # A vertex above the adjacency tuples is isolated and roots no walk.
+    for r in range(len(g.adjacency)):
         if r not in partner:
             yield from grow([r])
 

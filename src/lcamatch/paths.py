@@ -140,9 +140,11 @@ def paths_through_edge(
 
 def paths_through_vertex(g: Graph, v: int, length: int) -> list[PathKey]:
     """All simple paths of exactly ``length`` edges containing vertex ``v``."""
-    g.neighbors(v)  # raises for an out-of-range vertex
+    isolated = not g.neighbors(v)  # raises for an out-of-range vertex
     if length < 1:
         raise ValueError(f"path length must be positive, got {length}")
+    if isolated:
+        return []
     return sorted(set(_through_vertices(g, (v,), length, None)))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lcamatch.cli import main
-from lcamatch.graph import dump_graph
+from lcamatch.graph import dump_graph, gen_random_bounded
 from lcamatch.ordering import init_seeds, seedset_to_blob
 
 from conftest import path_graph
@@ -112,6 +112,18 @@ def test_materialize_text(p4_file, capsys):
     assert "no_short_augmenting_path=true" in out
 
 
+def test_materialize_huge_declared_vertex_count(tmp_path, capsys):
+    # Storage follows the edges read: 2*10^9 declared vertices cost nothing.
+    f = tmp_path / "huge.txt"
+    f.write_text("2000000000 1 1\n0 1\n")
+    rc = main(["materialize", "--graph", str(f), "--eps", "0.5"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "0 1"
+    assert "size=1" in out
+    assert "no_short_augmenting_path=true" in out
+
+
 def test_materialize_records(p4_file, capsys):
     rc = main(["materialize", "--graph", p4_file, "--eps", "0.5",
                "--rng-seed", "1", "--format", "records"])
@@ -208,6 +220,30 @@ def test_seed_blob_reproduces_rng_seed(p4_file, capsys):
                "--seed-blob", blob])
     assert rc == 0
     assert capsys.readouterr().out == by_seed
+
+
+def test_seed_blob_from_file_carries_benchmark_scale_seeds(tmp_path, capsys):
+    # At n=1024, k=3 the blob is longer than the 128 KiB Linux allows in one
+    # command-line argument, so it travels in a file.
+    graph = tmp_path / "g.txt"
+    graph.write_text(dump_graph(gen_random_bounded(1024, 3, 1)))
+    blob = seedset_to_blob(init_seeds(3, 1024, 1))
+    assert len(blob) > 131_072
+    blob_file = tmp_path / "seeds.hex"
+    blob_file.write_text(blob + "\n")
+    common = ["materialize", "--graph", str(graph), "--eps", "0.34"]
+    assert main(common + ["--rng-seed", "1"]) == 0
+    by_seed = capsys.readouterr().out
+    assert "k=3" in by_seed.splitlines()
+    assert main(common + ["--seed-blob", f"@{blob_file}"]) == 0
+    assert capsys.readouterr().out == by_seed
+
+
+def test_seed_blob_file_missing_is_an_error(p4_file, tmp_path, capsys):
+    rc = main(["query", "--graph", p4_file, "--eps", "0.5", "--edge", "0 1",
+               "--seed-blob", f"@{tmp_path / 'absent.hex'}"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_seed_flags_mutually_exclusive(p4_file):

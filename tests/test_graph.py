@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcamatch.graph import Graph, GraphFormatError, dump_graph, gen_random_bounded, load_graph, mk_edge
+from lcamatch.lca import Engine
+from lcamatch.oracles import find_augmenting_path
+from lcamatch.paths import paths_through_vertex
 
 
 TRIANGLE = "3 3 2\n0 1\n1 2\n0 2\n"
@@ -138,15 +141,22 @@ def test_generator_graphs_well_formed(n, d, seed):
 
 
 def test_load_sizes_storage_by_edges_read():
-    # A header may declare millions of vertices with no edge behind them;
-    # each isolated vertex shares one empty tuple instead of its own list.
-    tracemalloc.start()
-    try:
-        g = load_graph(io.StringIO("2000000 0 1\n"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.vertex_count == 2_000_000 and g.edge_count == 0
-    assert g.neighbors(1_999_999) == ()
-    # The adjacency tuple's 2M pointers alone take 16 MB.
-    assert peak < 32 * 2**20
+    # A header may declare billions of vertices with no edge behind them;
+    # vertices above the highest one with an edge are stored nowhere.
+    for text in ("2000000 0 1\n", "2000000000 1 1\n0 1\n"):
+        tracemalloc.start()
+        try:
+            g = load_graph(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = g.vertex_count
+        assert n == int(text.split()[0])
+        assert g.neighbors(n - 1) == () and g.degree(n - 1) == 0
+        assert peak < 2**20
+        eng = Engine(g, eps=0.5)
+        assert eng.is_free(n - 1, 3)
+        assert paths_through_vertex(g, n - 1, 1) == []
+        m = eng.materialize()
+        assert m == g.edges
+        assert find_augmenting_path(g, m, 2 * eng.k - 1) is None

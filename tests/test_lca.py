@@ -156,6 +156,8 @@ def test_greedy_mis_is_maximal_and_independent():
 
 
 def test_path_in_mis_matches_global_for_every_path():
+    # Every path of the phase length, augmenting or not: a probe's raw path
+    # meets the alternation filter, and one that fails it is out.
     rng = random.Random(9)
     for gi in range(6):
         n = rng.randrange(5, 13)
@@ -164,14 +166,18 @@ def test_path_in_mis_matches_global_for_every_path():
         if g.edge_count == 0:
             continue
         for seed in range(2):
-            ss = init_seeds(2, n, seed)
-            eng = Engine(g, k=2, seeds=ss)
+            ss = init_seeds(3, n, seed)
+            eng = Engine(g, k=3, seeds=ss)
             matching = frozenset()
-            for ell in (1, 3):
+            for ell in (1, 3, 5):
                 nodes = augmenting_paths(g, matching, ell)
                 s = ss.phases[ell]
                 chosen = greedy_mis(nodes, lambda p: rank(p, s))
-                for p in nodes:
+                every = {
+                    p for e in g.sorted_edges() for p in paths_through_edge(g, e, ell)
+                }
+                for p in sorted(every):
+                    assert eng.is_augmenting_path(p, ell) == (p in nodes)
                     assert eng.is_path_in_mis(p, ell) == (p in chosen)
                 flipped = {e for p in chosen for e in p.edge_seq()}
                 matching = matching ^ flipped
@@ -420,6 +426,11 @@ def test_per_query_refusals_do_not_depend_on_query_order():
     assert 0 < len(refused_sets[0]) < len(edges)
 
 
+# sha256 of repr(fs), the per-query f over the 50-edge sample, by n: sum
+# 79,694, max 6,010 at n=1024; sum 6,139, max 747 at n=4096.
+_PINNED_F_DIGESTS = {1024: "53530be04b6a1b7e", 4096: "c9a85f1a47213e52"}
+
+
 @pytest.mark.parametrize(
     "n, seed, k, digest",
     [
@@ -437,7 +448,13 @@ def test_benchmark_scale_matching_is_pinned(n, seed, k, digest):
     assert m == abstract_distributed_mm(g, k, eng.seeds)
     sample = random.Random(seed).sample(g.sorted_edges(), 50)
     per_query = Engine(g, k=k, cache_mode="per_query")
-    assert [per_query.query(e) for e in sample] == [e in m for e in sample]
+    answers, fs = [], []
+    for e in sample:
+        answers.append(per_query.query(e))
+        fs.append(per_query.last_stats.f)
+    assert answers == [e in m for e in sample]
+    # f is the budget unit: a change to what it counts moves refusals.
+    assert hashlib.sha256(repr(fs).encode()).hexdigest()[:16] == _PINNED_F_DIGESTS[n]
 
 
 def _tracer_layers() -> dict:

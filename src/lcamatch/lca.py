@@ -85,13 +85,6 @@ class Stats:
     wall_time: float = 0.0
 
 
-class _Forgetful(dict):
-    """The memo of ``cache_mode="off"``: every write is dropped."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
 def _k_from_eps(eps: float, k_max: int) -> int:
     """``ceil(1 / eps)``, at least 1 and at most ``k_max``."""
     if not math.isfinite(eps) or eps <= 0:
@@ -112,10 +105,10 @@ class Engine:
         The bounded-degree input graph.
     eps, k:
         Approximation target; give exactly one.  ``k = ceil(1 / eps)``.
-        ``k`` is clamped to ``max(1, n // 2)`` for an ``n``-vertex graph: a
-        phase longer than ``n - 1`` has no simple path and changes nothing,
-        so the matching is the same and phase probes stop at the clamped
-        ``2k - 1``.
+        ``k`` is clamped to ``max(1, (min(n - 1, m) + 1) // 2)`` for a graph
+        of ``n`` vertices and ``m`` edges: a phase longer than ``n - 1`` or
+        ``m`` edges has no simple path and changes nothing, so the matching
+        is the same and phase probes stop at the clamped ``2k - 1``.
     seeds:
         Optional pre-built :class:`~lcamatch.ordering.SeedSet`; must cover
         every phase and match the graph's vertex count.
@@ -125,8 +118,7 @@ class Engine:
         Max augmenting-path checks per top-level query.
     cache_mode:
         ``"shared"`` keeps memoized answers across queries, ``"per_query"``
-        clears them at each public call, ``"off"`` disables memoization.
-        All three modes return identical answers.
+        clears them at each public call.  Both return identical answers.
     """
 
     def __init__(
@@ -142,7 +134,7 @@ class Engine:
     ) -> None:
         if (eps is None) == (k is None):
             raise ValueError("provide exactly one of eps and k")
-        k_max = max(1, graph.vertex_count // 2)
+        k_max = max(1, (min(graph.vertex_count - 1, graph.edge_count) + 1) // 2)
         if k is None:
             k = _k_from_eps(eps, k_max)  # type: ignore[arg-type]
         if k < 1:
@@ -150,7 +142,7 @@ class Engine:
         k = min(k, k_max)
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
-        if cache_mode not in ("shared", "per_query", "off"):
+        if cache_mode not in ("shared", "per_query"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
         if seeds is None:
             seeds = init_seeds(
@@ -169,7 +161,7 @@ class Engine:
         self.budget = budget
         self.cache_mode = cache_mode
         self.last_stats: Stats | None = None
-        self._memo: dict[tuple, bool] = _Forgetful() if cache_mode == "off" else {}
+        self._memo: dict[tuple, bool] = {}
         self._ranks: dict[PathKey, Rank] = {}
         self._stats = Stats()
 

@@ -291,6 +291,10 @@ _BLOB_VERSION = 1
 # Every blob carries this one "mode" value; the field stays so that blobs
 # written by earlier versions replay unchanged.
 _BLOB_MODE = "kwise"
+# Written blobs inflate about 2x (JSON lists of random integers); inflating
+# stops at this multiple of the compressed size, and a blob not done by then
+# is refused.
+_BLOB_MAX_INFLATION = 16
 
 
 def seedset_to_blob(seeds: SeedSet) -> str:
@@ -348,7 +352,13 @@ def _phase_from_blob(n: int, ell: int, entry) -> Seed:
 def seedset_from_blob(blob: str) -> SeedSet:
     """Inverse of :func:`seedset_to_blob`; any malformed blob is a ValueError."""
     try:
-        raw = zlib.decompress(bytes.fromhex(blob))
+        data = bytes.fromhex(blob)
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(data, _BLOB_MAX_INFLATION * len(data))
+        if not inflater.eof:
+            raise ValueError(
+                f"truncated, or inflates past {_BLOB_MAX_INFLATION}x its size"
+            )
         payload = json.loads(raw)
     except (ValueError, zlib.error) as exc:
         raise _malformed(str(exc)) from None

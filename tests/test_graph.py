@@ -155,7 +155,7 @@ def test_load_sizes_storage_by_edges_read():
         assert g.neighbors(n - 1) == () and g.degree(n - 1) == 0
         assert peak < 2**20
         eng = Engine(g, eps=0.5)
-        assert eng.is_free(n - 1, 3)
+        assert eng.is_free(n - 1, 2 * eng.k - 1)
         assert paths_through_vertex(g, n - 1, 1) == []
         m = eng.materialize()
         assert m == g.edges

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -239,6 +240,23 @@ def test_blob_rejects_garbage():
         seedset_from_blob("zz")
     with pytest.raises(ValueError, match="malformed"):
         seedset_from_blob("00ff00")
+
+
+def test_blob_that_inflates_without_bound_is_refused_at_the_cap():
+    # 64 MiB of spaces deflate to ~65 KB; the blob is malformed either way,
+    # but it must be refused before it is inflated in full
+    deflater = zlib.compressobj(9)
+    chunk = b" " * (1 << 20)
+    data = b"".join(deflater.compress(chunk) for _ in range(64)) + deflater.flush()
+    blob = data.hex()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="malformed seed blob"):
+            seedset_from_blob(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_next_prime_matches_sympy_on_every_seed_domain():

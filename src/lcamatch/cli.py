@@ -3,12 +3,17 @@
 Usage:
     lcamatch query --graph FILE --eps EPS --edge "u v" [--rng-seed S | --seed-blob HEX|@FILE]
     lcamatch materialize --graph FILE --eps EPS [--format text|records]
+        [--rng-seed S | --seed-blob HEX|@FILE]
     lcamatch bench --n 256,1024 --d 3 --eps 0.5 --trials 3 [--queries 50]
+        [--rng-seed S]
     lcamatch querytree --d 3 --trials 100000 --cap 500 [--format csv|text]
+        [--rng-seed S]
 
 All commands are deterministic given explicit seeds; when neither --rng-seed
 nor --seed-blob is given, the LCAMATCH_RNG_SEED environment variable is the
-fallback, then 0.  Answers go to stdout; --verbose diagnostics go to stderr.
+fallback, then 0.  Only query and materialize take --seed-blob: bench draws
+graphs of several sizes and querytree ranks no paths, so no one seed set
+fits them.  Answers go to stdout; --verbose diagnostics go to stderr.
 
 Work counters (query --verbose, bench records): ``f`` counts augmenting-path
 checks, the budgeted unit.  Path enumeration keeps only paths that alternate
@@ -27,6 +32,7 @@ import json
 import os
 import random
 import statistics
+import string
 import sys
 
 from .graph import GraphFormatError, gen_random_bounded, load_graph
@@ -72,6 +78,22 @@ def _resolve_rng_seed(args: argparse.Namespace) -> int:
     return 0
 
 
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
+def _read_blob_file(path: str) -> str:
+    # Chunk by chunk, so a file that is not hex (say /dev/zero) is refused
+    # at its first chunk instead of being read into memory whole.
+    parts = []
+    with open(path, "r", encoding="ascii") as fh:
+        while chunk := fh.read(1 << 16):
+            chunk = "".join(chunk.split())
+            if not _HEX_DIGITS.issuperset(chunk):
+                raise ValueError(f"malformed seed blob: non-hex character in {path}")
+            parts.append(chunk)
+    return "".join(parts)
+
+
 def _load_graph_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh)
@@ -83,8 +105,7 @@ def _build_engine(args: argparse.Namespace, g) -> Engine:
         # Hex never starts with "@".  A file carries blobs too long for one
         # command-line argument (the kernel caps those at 128 KiB).
         if blob.startswith("@"):
-            with open(blob[1:], "r", encoding="ascii") as fh:
-                blob = "".join(fh.read().split())
+            blob = _read_blob_file(blob[1:])
         seeds = seedset_from_blob(blob)
         return Engine(g, eps=args.eps, seeds=seeds, budget=args.budget)
     return Engine(g, eps=args.eps, rng_seed=_resolve_rng_seed(args), budget=args.budget)
@@ -255,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--queries", type=int, default=50, help="sampled queries per trial")
     b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     b.add_argument("--format", choices=("text", "records"), default="records")
-    _add_seed_flags(b)
+    b.add_argument("--rng-seed", type=int, default=None, help="integer seed")
     b.set_defaults(func=cmd_bench)
 
     t = sub.add_parser("querytree", help="sample query-tree sizes and fit the tail")
@@ -263,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--trials", type=int, default=100_000, help="sample count")
     t.add_argument("--cap", type=int, default=500)
     t.add_argument("--format", choices=("csv", "text"), default="csv")
-    _add_seed_flags(t)
+    t.add_argument("--rng-seed", type=int, default=None, help="integer seed")
     t.set_defaults(func=cmd_querytree)
 
     return parser

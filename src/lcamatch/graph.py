@@ -25,6 +25,11 @@ __all__ = [
 # generator returns whatever it has, possibly an empty graph.
 _PROPOSAL_FACTOR = 10
 
+# Longest input line load_graph reads.  No valid line comes near it (int()
+# refuses more than 4300 digits); the cap keeps a file with no line breaks,
+# such as /dev/zero, from being read into memory whole.
+_MAX_LINE = 1 << 16
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph input; the message names the line number."""
@@ -127,14 +132,23 @@ def load_graph(stream: TextIO) -> Graph:
     """Parse the ``n m d`` edge-list format.
 
     Blank lines and lines starting with ``#`` are skipped.  Errors report
-    1-based line numbers of the offending input line.  The edge lines go
+    1-based line numbers of the offending input line; a line longer than
+    65536 characters, comments included, is an error.  The edge lines go
     straight to :meth:`Graph.from_edges`, which runs every edge check once.
     """
-    lines = (
-        (lineno, line)
-        for lineno, raw in enumerate(stream, 1)
-        if (line := raw.strip()) and not line.startswith("#")
-    )
+
+    def read_lines() -> Iterator[tuple[int, str]]:
+        lineno = 0
+        while raw := stream.readline(_MAX_LINE + 1):
+            lineno += 1
+            if len(raw) > _MAX_LINE and not raw.endswith("\n"):
+                raise GraphFormatError(
+                    f"line {lineno}: longer than {_MAX_LINE} characters"
+                )
+            if (line := raw.strip()) and not line.startswith("#"):
+                yield lineno, line
+
+    lines = read_lines()
     lineno, line = next(lines, (1, None))
     if line is None:
         raise GraphFormatError("line 1: missing 'n m d' header")
@@ -164,6 +178,8 @@ def load_graph(stream: TextIO) -> Graph:
 
     try:
         g = Graph.from_edges(n, d, edges())
+    except GraphFormatError:
+        raise
     except ValueError as exc:
         # from_edges checks each edge as it arrives, so lineno is its line.
         raise GraphFormatError(f"line {lineno}: {exc}") from None

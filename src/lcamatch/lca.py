@@ -23,9 +23,7 @@ phase ``ell`` uses unmatched edges at odd positions and matched edges at even
 positions of the matching after phase ``ell - 2``, so the path search drops a
 branch at its first edge of the wrong status (the alternating search of
 Hopcroft and Karp).  A dropped path is not augmenting, so the greedy rule
-would have passed over it anyway and answers are unchanged.  The raw path
-given to a probe meets the same edge filter, the engine's one alternation
-test, and is out if it fails.
+would have passed over it anyway and answers are unchanged.
 
 Work is bounded by a per-query budget on augmenting-path checks: one per
 alternating candidate, which settles whether its two ends are free.  A query
@@ -48,7 +46,6 @@ from .ordering import Rank, SeedSet, init_seeds, rank
 from .paths import (
     EdgeFilter,
     PathKey,
-    canonical_key,
     iter_intersecting,
     paths_through_edge,
 )
@@ -72,11 +69,10 @@ class Stats:
     """Counters for one top-level query.
 
     ``f`` counts augmenting-path checks (the budgeted unit of work), made
-    only on alternating candidates: a path given to a probe is counted only
-    if it alternates.  ``f_by_phase`` splits the count by phase length, and
-    ``relevant_set_sizes`` has one entry per greedy-MIS decision computed for
-    an augmenting path during the query: 1 plus the number of lower-ranked
-    augmenting neighbours that decision scanned.
+    only on alternating candidates.  ``f_by_phase`` splits the count by phase
+    length, and ``relevant_set_sizes`` has one entry per greedy-MIS decision
+    computed for an augmenting path during the query: 1 plus the number of
+    lower-ranked augmenting neighbours that decision scanned.
     """
 
     f: int = 0
@@ -108,7 +104,8 @@ class Engine:
         ``k`` is clamped to ``max(1, (min(n - 1, m) + 1) // 2)`` for a graph
         of ``n`` vertices and ``m`` edges: a phase longer than ``n - 1`` or
         ``m`` edges has no simple path and changes nothing, so the matching
-        is the same and phase probes stop at the clamped ``2k - 1``.
+        is the same and :meth:`is_in_matching` stops at the clamped
+        ``2k - 1``.
     seeds:
         Optional pre-built :class:`~lcamatch.ordering.SeedSet`; must cover
         every phase and match the graph's vertex count.
@@ -177,27 +174,23 @@ class Engine:
         return frozenset(e for e in self.graph.sorted_edges() if self.query(e))
 
     def is_in_matching(self, edge: tuple[int, int], ell: int) -> bool:
-        """Membership of ``edge`` in the matching after phase ``ell``."""
+        """Membership of ``edge`` in the matching after phase ``ell``.
+
+        ``ell`` is -1 (the empty matching before phase 1) or odd in
+        ``1..2k-1``.  Every other per-phase fact follows from this one:
+        phase ``ell`` picked a path ``p`` of ``ell`` edges iff every edge of
+        ``p`` changes membership between ``ell - 2`` and ``ell``; ``p``
+        augments the matching after ``ell - 2`` iff it alternates against it
+        with both ends free; and vertex ``v`` is free after phase ``ell`` iff
+        no edge at ``v`` is in.
+        """
         e = self._check_edge(edge)
-        self._check_phase(ell, allow_base=True)
+        if ell != -1 and ell not in range(1, 2 * self.k, 2):
+            raise ValueError(
+                f"phase length must be -1, or odd and within 1..{2 * self.k - 1}, "
+                f"got {ell}"
+            )
         return self._run(lambda: self._in_matching(e, ell))
-
-    def is_path_in_mis(self, p: PathKey, ell: int) -> bool:
-        """Whether phase ``ell`` picked ``p`` into its independent set."""
-        p = self._check_path(p, ell)
-        return self._run(lambda: self._alternates(p, ell) and self._path_in_mis(p, ell))
-
-    def is_augmenting_path(self, p: PathKey, ell: int) -> bool:
-        """Whether ``p`` augments the matching left by phase ``ell - 2``."""
-        p = self._check_path(p, ell)
-        return self._run(lambda: self._alternates(p, ell) and self._augmenting(p, ell))
-
-    def is_free(self, v: int, ell: int) -> bool:
-        """Whether vertex ``v`` is unmatched after phase ``ell - 2``."""
-        if not (0 <= v < self.graph.vertex_count):
-            raise ValueError(f"vertex {v} out of range")
-        self._check_phase(ell, allow_base=False)
-        return self._run(lambda: self._free(v, ell))
 
     # -- validation -------------------------------------------------------
 
@@ -206,21 +199,6 @@ class Engine:
         if not self.graph.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not in graph")
         return mk_edge(u, v)
-
-    def _check_phase(self, ell: int, *, allow_base: bool) -> None:
-        if ell == -1 and allow_base:
-            return
-        if ell % 2 == 0 or not (1 <= ell <= 2 * self.k - 1):
-            raise ValueError(
-                f"phase length must be odd and within 1..{2 * self.k - 1}, got {ell}"
-            )
-
-    def _check_path(self, p: PathKey, ell: int) -> PathKey:
-        self._check_phase(ell, allow_base=False)
-        key = canonical_key(self.graph, p)
-        if key.length != ell:
-            raise ValueError(f"path has length {key.length}, expected {ell}")
-        return key
 
     # -- budgeted recursion ------------------------------------------------
 
@@ -267,11 +245,6 @@ class Engine:
         in_matching = self._in_matching
         return lambda e, i: in_matching(e, below) == (i % 2 == 0)
 
-    def _alternates(self, p: PathKey, ell: int) -> bool:
-        # A probe's path was not enumerated, so it meets the filter here.
-        ok = self._alternating(ell)
-        return ok is None or all(ok(e, i) for i, e in enumerate(p.edge_seq(), start=1))
-
     def _rank(self, p: PathKey) -> Rank:
         # A path's length is its phase, so the path alone keys the cache.
         t = self._ranks.get(p)
@@ -308,8 +281,8 @@ class Engine:
         return res
 
     def _augmenting(self, p: PathKey, ell: int) -> bool:
-        # p alternates: the enumerators and the probes admit only paths that
-        # pass _alternating(ell).  So only its two ends are left to check.
+        # p alternates: every path reaching here came from an enumerator
+        # under _alternating(ell).  So only its two ends are left to check.
         stats = self._stats
         stats.f += 1
         stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + 1

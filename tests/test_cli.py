@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -251,6 +252,36 @@ def test_seed_flags_mutually_exclusive(p4_file):
         main(["query", "--graph", p4_file, "--eps", "0.5", "--edge", "0 1",
               "--rng-seed", "1", "--seed-blob", "00"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["bench", "--n", "16", "--d", "3", "--eps", "0.5"], ["querytree", "--d", "3"]],
+    ids=["bench", "querytree"],
+)
+def test_seed_blob_is_only_for_query_and_materialize(command):
+    # bench draws graphs of several sizes and querytree ranks no paths, so a
+    # blob would be ignored; argparse refuses it instead.
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed-blob", "zz-not-hex"])
+    assert exc.value.code == 2
+
+
+def test_seed_blob_file_that_is_not_hex_is_refused_before_it_is_read_whole(
+    p4_file, tmp_path, capsys
+):
+    blob_file = tmp_path / "zeros.hex"
+    blob_file.write_bytes(bytes(16 * 2**20))
+    tracemalloc.start()
+    try:
+        rc = main(["query", "--graph", p4_file, "--eps", "0.5", "--edge", "0 1",
+                   "--seed-blob", f"@{blob_file}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: malformed seed blob")
+    assert peak < 2**20
 
 
 def test_garbage_seed_blob(p4_file, capsys):

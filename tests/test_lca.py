@@ -20,7 +20,6 @@ from lcamatch.oracles import (
     find_augmenting_path,
     greedy_mis,
     intersection_edges,
-    is_augmenting_for,
     verify_matching,
 )
 from lcamatch.paths import PathKey, paths_through_edge
@@ -39,13 +38,6 @@ def test_phase_minus_one_is_empty():
     eng = Engine(g, k=2, rng_seed=0)
     for e in g.sorted_edges():
         assert eng.is_in_matching(e, -1) is False
-
-
-def test_single_edge_always_augments_phase1():
-    g = petersen_graph()
-    eng = Engine(g, k=2, rng_seed=3)
-    for e in sorted(g.edges)[:6]:
-        assert eng.is_augmenting_path(PathKey(e), 1) is True
 
 
 def test_k2_on_k2_graph():
@@ -93,7 +85,8 @@ def test_p4_flip_trace_with_rigged_seed():
     eng = Engine(g, k=2, seeds=init_seeds(2, 4, seed_int))
     assert eng.is_in_matching((1, 2), 1) is True
     assert eng.is_in_matching((1, 2), 3) is False
-    assert eng.is_path_in_mis(PathKey((0, 1, 2, 3)), 3) is True
+    # phase 3 picked the whole path: every edge flips between phases 1 and 3
+    assert materialize_phase(eng, 1) ^ materialize_phase(eng, 3) == g.edges
 
 
 def test_path_in_mis_rank_chain_on_p5():
@@ -110,14 +103,15 @@ def test_path_in_mis_rank_chain_on_p5():
 
     seed_int = find_order_seed(wanted)
     eng = Engine(g, k=2, seeds=init_seeds(2, 5, seed_int))
-    assert [eng.is_path_in_mis(p, 1) for p in (e01, e12, e23, e34)] == [
+    assert [eng.is_in_matching(p, 1) for p in (e01, e12, e23, e34)] == [
         False, True, False, True,
     ]
 
 
 def test_path_in_mis_non_augmenting_root_is_out():
     # when phase 1 already matched the end edges of P4, the full path fails
-    # the alternation pattern at phase 3 and cannot be picked
+    # the alternation pattern at phase 3 and cannot be picked, so phase 3
+    # flips nothing
     g = path_graph(4)
     e01, e12, e23 = PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))
 
@@ -127,9 +121,7 @@ def test_path_in_mis_non_augmenting_root_is_out():
         return rank(e01, s) < r12 or rank(e23, s) < r12
 
     eng = Engine(g, k=2, seeds=init_seeds(2, 4, find_order_seed(middle_not_first)))
-    root = PathKey((0, 1, 2, 3))
-    assert eng.is_augmenting_path(root, 3) is False
-    assert eng.is_path_in_mis(root, 3) is False
+    assert materialize_phase(eng, 3) == materialize_phase(eng, 1)
 
 
 def test_greedy_mis_toy_orders():
@@ -156,8 +148,10 @@ def test_greedy_mis_is_maximal_and_independent():
 
 
 def test_path_in_mis_matches_global_for_every_path():
-    # Every path of the phase length, augmenting or not: a probe's raw path
-    # meets the alternation filter, and one that fails it is out.
+    # Phase ell picked p iff every edge of p flipped between ell - 2 and ell:
+    # picked paths are vertex-disjoint, so the flipped edges split exactly
+    # into them.  Checked over every path of the phase length, augmenting or
+    # not, from the unfiltered enumerator.
     rng = random.Random(9)
     for gi in range(6):
         n = rng.randrange(5, 13)
@@ -170,53 +164,24 @@ def test_path_in_mis_matches_global_for_every_path():
             eng = Engine(g, k=3, seeds=ss)
             matching = frozenset()
             for ell in (1, 3, 5):
-                nodes = augmenting_paths(g, matching, ell)
-                s = ss.phases[ell]
-                chosen = greedy_mis(nodes, lambda p: rank(p, s))
                 every = {
                     p for e in g.sorted_edges() for p in paths_through_edge(g, e, ell)
                 }
+                if ell > 2 * eng.k - 1:
+                    # k was clamped: no path this long exists
+                    assert not every
+                    break
+                nodes = augmenting_paths(g, matching, ell)
+                s = ss.phases[ell]
+                chosen = greedy_mis(nodes, lambda p: rank(p, s))
+                before = materialize_phase(eng, ell - 2)
+                after = materialize_phase(eng, ell)
+                assert before == matching
+                matching = matching ^ {e for p in chosen for e in p.edge_seq()}
+                assert after == matching
+                flipped = before ^ after
                 for p in sorted(every):
-                    assert eng.is_augmenting_path(p, ell) == (p in nodes)
-                    assert eng.is_path_in_mis(p, ell) == (p in chosen)
-                flipped = {e for p in chosen for e in p.edge_seq()}
-                matching = matching ^ flipped
-
-
-def test_is_augmenting_matches_static_oracle():
-    rng = random.Random(12)
-    for gi in range(6):
-        n = rng.randrange(5, 12)
-        d = rng.randrange(2, 4)
-        g = gen_random_bounded(n, d, 1000 + gi)
-        if g.edge_count == 0:
-            continue
-        ss = init_seeds(3, n, gi)
-        eng = Engine(g, k=3, seeds=ss)
-        for ell in (1, 3, 5):
-            previous = (
-                frozenset()
-                if ell == 1
-                else frozenset(
-                    e for e in g.sorted_edges() if eng.is_in_matching(e, ell - 2)
-                )
-            )
-            for e in g.sorted_edges()[:4]:
-                for p in paths_through_edge(g, e, ell)[:5]:
-                    assert eng.is_augmenting_path(p, ell) == is_augmenting_for(
-                        g, p, previous
-                    )
-
-
-def test_is_free_phase1_and_later():
-    g = path_graph(4)
-    eng = Engine(g, k=2, rng_seed=0)
-    for v in range(4):
-        assert eng.is_free(v, 1) is True
-    m1 = materialize_phase(eng, 1)
-    covered = {v for e in m1 for v in e}
-    for v in range(4):
-        assert eng.is_free(v, 3) == (v not in covered)
+                    assert all(e in flipped for e in p.edge_seq()) == (p in chosen)
 
 
 def test_query_answers_independent_of_cache_and_order():
@@ -325,10 +290,6 @@ def test_engine_validation():
         eng.is_in_matching((0, 1), 2)
     with pytest.raises(ValueError, match="odd"):
         eng.is_in_matching((0, 1), 5)
-    with pytest.raises(ValueError, match="length"):
-        eng.is_augmenting_path(PathKey((0, 1)), 3)
-    with pytest.raises(ValueError, match="out of range"):
-        eng.is_free(9, 1)
 
 
 def test_engine_seed_compatibility():

@@ -18,7 +18,8 @@ fits them.  Answers go to stdout; --verbose diagnostics go to stderr.
 Work counters (query --verbose, bench records): ``f`` counts augmenting-path
 checks, the budgeted unit.  Path enumeration keeps only paths that alternate
 between unmatched and matched edges, so each check is made on such a
-candidate and settles whether its two ends are free.  ``closures`` is the
+candidate and settles whether its two ends are free; phase 1 counts one
+check per edge it decides plus one per adjacent edge.  ``closures`` is the
 number of greedy-MIS decisions computed for augmenting paths; each
 decision's size is 1 plus the lower-ranked augmenting neighbours it scanned
 before it was settled, and ``max_closure``, ``relevant_mean`` and
@@ -32,8 +33,8 @@ import json
 import os
 import random
 import statistics
-import string
 import sys
+from typing import Iterator
 
 from .graph import GraphFormatError, gen_random_bounded, load_graph
 from .lca import DEFAULT_BUDGET, BudgetExceededError, Engine
@@ -78,20 +79,12 @@ def _resolve_rng_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-_HEX_DIGITS = frozenset(string.hexdigits)
-
-
-def _read_blob_file(path: str) -> str:
-    # Chunk by chunk, so a file that is not hex (say /dev/zero) is refused
-    # at its first chunk instead of being read into memory whole.
-    parts = []
+def _blob_file_pieces(path: str) -> Iterator[str]:
+    # seedset_from_blob inflates piece by piece, so a file that is not a
+    # blob (say /dev/zero) is refused at its first chunk, not read whole.
     with open(path, "r", encoding="ascii") as fh:
         while chunk := fh.read(1 << 16):
-            chunk = "".join(chunk.split())
-            if not _HEX_DIGITS.issuperset(chunk):
-                raise ValueError(f"malformed seed blob: non-hex character in {path}")
-            parts.append(chunk)
-    return "".join(parts)
+            yield chunk
 
 
 def _load_graph_file(path: str):
@@ -104,9 +97,9 @@ def _build_engine(args: argparse.Namespace, g) -> Engine:
         blob = args.seed_blob
         # Hex never starts with "@".  A file carries blobs too long for one
         # command-line argument (the kernel caps those at 128 KiB).
-        if blob.startswith("@"):
-            blob = _read_blob_file(blob[1:])
-        seeds = seedset_from_blob(blob)
+        seeds = seedset_from_blob(
+            _blob_file_pieces(blob[1:]) if blob.startswith("@") else blob
+        )
         return Engine(g, eps=args.eps, seeds=seeds, budget=args.budget)
     return Engine(g, eps=args.eps, rng_seed=_resolve_rng_seed(args), budget=args.budget)
 

@@ -138,15 +138,26 @@ def load_graph(stream: TextIO) -> Graph:
     """
 
     def read_lines() -> Iterator[tuple[int, str]]:
+        # Chunks of _MAX_LINE characters split on newlines: one read call
+        # per chunk, not per line.  The unfinished tail of a chunk is held
+        # to the line cap too, so a file with no line breaks stops at once.
         lineno = 0
-        while raw := stream.readline(_MAX_LINE + 1):
-            lineno += 1
-            if len(raw) > _MAX_LINE and not raw.endswith("\n"):
-                raise GraphFormatError(
-                    f"line {lineno}: longer than {_MAX_LINE} characters"
-                )
-            if (line := raw.strip()) and not line.startswith("#"):
-                yield lineno, line
+        tail = ""
+        while True:
+            chunk = stream.read(_MAX_LINE)
+            *lines, tail = (tail + chunk).split("\n")
+            if (tail and not chunk) or len(tail) > _MAX_LINE:
+                lines.append(tail)  # the last line, or one too long
+            for raw in lines:
+                lineno += 1
+                if len(raw) > _MAX_LINE:
+                    raise GraphFormatError(
+                        f"line {lineno}: longer than {_MAX_LINE} characters"
+                    )
+                if (line := raw.strip()) and not line.startswith("#"):
+                    yield lineno, line
+            if not chunk:
+                return
 
     lines = read_lines()
     lineno, line = next(lines, (1, None))

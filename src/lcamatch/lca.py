@@ -18,17 +18,31 @@ found picked settles ``p`` as not picked.  This is exactly the global greedy
 decision, so query answers across edges are mutually consistent: they all
 describe one fixed matching determined by the graph and the seeds.
 
-Candidate paths are enumerated alternating only.  An augmenting path of
-phase ``ell`` uses unmatched edges at odd positions and matched edges at even
-positions of the matching after phase ``ell - 2``, so the path search drops a
-branch at its first edge of the wrong status (the alternating search of
-Hopcroft and Karp).  A dropped path is not augmenting, so the greedy rule
-would have passed over it anyway and answers are unchanged.
+Phase 1 augments the empty matching with single edges, so it is the
+random-order greedy maximal matching, and it is decided on its own: an edge
+is in iff none of its adjacent edges ranked below it is in, visited in
+ascending rank (the order of Nguyen and Onak, whose expected cost Yoshida,
+Yamamoto and Ito bound by a constant).  Those rank-sorted lower neighbours
+depend only on the graph and the seeds, so each edge's list is built once
+and kept for the engine's life.
+
+From phase 3 on, candidate paths are enumerated alternating only.  An
+augmenting path of phase ``ell`` uses unmatched edges at odd positions and
+matched edges at even positions of the matching after phase ``ell - 2``, so
+the path search drops a branch at its first edge of the wrong status (the
+alternating search of Hopcroft and Karp).  A dropped path is not augmenting,
+so the greedy rule would have passed over it anyway and answers are
+unchanged.
 
 Work is bounded by a per-query budget on augmenting-path checks: one per
-alternating candidate, which settles whether its two ends are free.  A query
-that would exceed the budget raises :class:`BudgetExceededError` rather than
-returning a guess, so answers are never wrong, merely refused.
+alternating candidate, which settles whether its two ends are free, and at
+phase 1 one for the edge plus one per adjacent edge.  A query that would
+exceed the budget raises :class:`BudgetExceededError` rather than returning
+a guess, so answers are never wrong, merely refused.
+
+Memo lifetimes: with ``cache_mode="per_query"`` each public call starts with
+empty decision memos; the path ranks and the phase-1 lists of lower
+neighbours are kept, since neither depends on an earlier decision.
 """
 
 from __future__ import annotations
@@ -69,10 +83,13 @@ class Stats:
     """Counters for one top-level query.
 
     ``f`` counts augmenting-path checks (the budgeted unit of work), made
-    only on alternating candidates.  ``f_by_phase`` splits the count by phase
-    length, and ``relevant_set_sizes`` has one entry per greedy-MIS decision
-    computed for an augmenting path during the query: 1 plus the number of
-    lower-ranked augmenting neighbours that decision scanned.
+    only on alternating candidates; a phase-1 decision for edge ``(u, v)``
+    counts ``deg(u) + deg(v) - 1``, one for the edge and one per adjacent
+    edge.  A refused query stops at ``f == budget + 1``.  ``f_by_phase``
+    splits the count by phase length, and ``relevant_set_sizes`` has one
+    entry per greedy-MIS decision computed for an augmenting path during the
+    query: 1 plus the number of lower-ranked augmenting neighbours that
+    decision scanned.
     """
 
     f: int = 0
@@ -115,7 +132,10 @@ class Engine:
         Max augmenting-path checks per top-level query.
     cache_mode:
         ``"shared"`` keeps memoized answers across queries, ``"per_query"``
-        clears them at each public call.  Both return identical answers.
+        clears them at each public call.  Both keep the path ranks and the
+        phase-1 table of rank-sorted lower neighbours, which depend only on
+        the graph and the seeds.  Both return identical answers, and
+        ``per_query`` work does not depend on earlier queries.
     """
 
     def __init__(
@@ -158,8 +178,12 @@ class Engine:
         self.budget = budget
         self.cache_mode = cache_mode
         self.last_stats: Stats | None = None
+        # per_query clears _memo (phases 3 and up) and _mis1 (phase 1) only;
+        # _ranks and _lower depend on nothing but the graph and the seeds.
         self._memo: dict[tuple, bool] = {}
+        self._mis1: dict[tuple[int, int], bool] = {}
         self._ranks: dict[PathKey, Rank] = {}
+        self._lower: dict[tuple[int, int], tuple[PathKey, ...]] = {}
         self._stats = Stats()
 
     # -- public query surface -------------------------------------------
@@ -205,6 +229,7 @@ class Engine:
     def _run(self, thunk):
         if self.cache_mode == "per_query":
             self._memo.clear()
+            self._mis1.clear()
         stats = Stats()
         self._stats = stats
         start = time.perf_counter()
@@ -215,6 +240,8 @@ class Engine:
             self.last_stats = stats
 
     def _in_matching(self, e: tuple[int, int], ell: int) -> bool:
+        if ell == 1:
+            return self._edge_in_mis(e)
         if ell == -1:
             return False
         key = ("m", e, ell)
@@ -233,14 +260,11 @@ class Engine:
         self._memo[key] = res
         return res
 
-    def _alternating(self, ell: int) -> EdgeFilter | None:
-        # An augmenting path of phase ell alternates: its odd-position edges
-        # are unmatched after phase ell - 2 and its even-position ones are
-        # matched.  Enumerating under this filter drops a candidate at its
-        # first wrong edge; only the free-end test is left to _augmenting.
-        # Phase 1 augments the empty matching, so it needs no filter.
-        if ell == 1:
-            return None
+    def _alternating(self, ell: int) -> EdgeFilter:
+        # An augmenting path of phase ell >= 3 alternates: its odd-position
+        # edges are unmatched after phase ell - 2 and its even-position ones
+        # are matched.  Enumerating under this filter drops a candidate at
+        # its first wrong edge; only the free-end test is left to _augmenting.
         below = ell - 2
         in_matching = self._in_matching
         return lambda e, i: in_matching(e, below) == (i % 2 == 0)
@@ -252,6 +276,40 @@ class Engine:
             t = rank(p, self.seeds.phases[p.length])
             self._ranks[p] = t
         return t
+
+    def _edge_in_mis(self, e: tuple[int, int]) -> bool:
+        # Greedy maximal matching: e is in unless an adjacent edge ranked
+        # below it is, visited in ascending rank.
+        cached = self._mis1.get(e)
+        if cached is not None:
+            return cached
+        adj = self.graph.adjacency
+        u, v = e
+        # One check for e and one per adjacent edge, as at later phases.
+        self._charge(1, len(adj[u]) + len(adj[v]) - 1)
+        lower = self._lower.get(e)
+        if lower is None:
+            rank_of = self._rank
+            e_rank = rank_of(PathKey(e))
+            ranks = [
+                rank_of(PathKey(mk_edge(a, w)))
+                for a, b in ((u, v), (v, u))
+                for w in adj[a]
+                if w != b
+            ]
+            # r.path is the PathKey _ranks already holds, not a fresh copy.
+            lower = tuple(r.path for r in sorted(r for r in ranks if r < e_rank))
+            self._lower[e_rank.path] = lower
+        res = True
+        scanned = 0
+        for q in lower:
+            scanned += 1
+            if self._edge_in_mis(q):
+                res = False
+                break
+        self._stats.relevant_set_sizes.append(1 + scanned)
+        self._mis1[e] = res
+        return res
 
     def _path_in_mis(self, p: PathKey, ell: int) -> bool:
         key = ("i", p, ell)
@@ -283,15 +341,20 @@ class Engine:
     def _augmenting(self, p: PathKey, ell: int) -> bool:
         # p alternates: every path reaching here came from an enumerator
         # under _alternating(ell).  So only its two ends are left to check.
+        self._charge(ell, 1)
+        return self._free(p[0], ell) and self._free(p[-1], ell)
+
+    def _charge(self, ell: int, checks: int) -> None:
+        # A refused query stops at f == budget + 1, however many checks
+        # this step would have made.
         stats = self._stats
-        stats.f += 1
-        stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + 1
+        checks = min(checks, self.budget + 1 - stats.f)
+        stats.f += checks
+        stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + checks
         if stats.f > self.budget:
             raise BudgetExceededError(
                 f"query exceeded budget of {self.budget} augmenting-path checks"
             )
-        # Phase 1 augments the empty matching: every edge qualifies.
-        return ell == 1 or (self._free(p[0], ell) and self._free(p[-1], ell))
 
     def _free(self, v: int, ell: int) -> bool:
         key = ("f", v, ell)

@@ -27,6 +27,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from functools import total_ordering
+from typing import Iterable
 
 from .paths import PathKey
 
@@ -349,17 +350,45 @@ def _phase_from_blob(n: int, ell: int, entry) -> Seed:
     return seed
 
 
-def seedset_from_blob(blob: str) -> SeedSet:
-    """Inverse of :func:`seedset_to_blob`; any malformed blob is a ValueError."""
-    try:
-        data = bytes.fromhex(blob)
-        inflater = zlib.decompressobj()
-        raw = inflater.decompress(data, _BLOB_MAX_INFLATION * len(data))
-        if not inflater.eof:
-            raise ValueError(
-                f"truncated, or inflates past {_BLOB_MAX_INFLATION}x its size"
+def _inflate_hex(pieces: Iterable[str]) -> bytes:
+    # One inflater fed piece by piece, so a blob that is not a zlib stream
+    # fails at its first piece and output never passes the inflation cap of
+    # the bytes read so far.  A piece may end between the two digits of a
+    # byte; that digit waits for the next piece.
+    inflater = zlib.decompressobj()
+    out: list[bytes] = []
+    read = produced = 0
+    odd = ""
+    for piece in pieces:
+        piece = odd + "".join(piece.split())
+        cut = len(piece) & ~1
+        odd = piece[cut:]
+        data = bytes.fromhex(piece[:cut])
+        if not data or inflater.eof:
+            continue  # bytes after the stream's end are ignored
+        read += len(data)
+        # read just grew, so the room is positive (0 would mean no limit).
+        out.append(
+            inflater.decompress(
+                inflater.unconsumed_tail + data, _BLOB_MAX_INFLATION * read - produced
             )
-        payload = json.loads(raw)
+        )
+        produced += len(out[-1])
+    if odd:
+        raise ValueError("odd number of hex digits")
+    if not inflater.eof:
+        raise ValueError(f"truncated, or inflates past {_BLOB_MAX_INFLATION}x its size")
+    return b"".join(out)
+
+
+def seedset_from_blob(blob: str | Iterable[str]) -> SeedSet:
+    """Inverse of :func:`seedset_to_blob`; any malformed blob is a ValueError.
+
+    ``blob`` is the hex text, or its pieces in order (say, chunks of a file),
+    which are inflated as they arrive.  Whitespace is ignored.
+    """
+    try:
+        payload = json.loads(_inflate_hex((blob,) if isinstance(blob, str) else blob))
     except (ValueError, zlib.error) as exc:
         raise _malformed(str(exc)) from None
     if not isinstance(payload, dict):

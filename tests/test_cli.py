@@ -284,6 +284,35 @@ def test_seed_blob_file_that_is_not_hex_is_refused_before_it_is_read_whole(
     assert peak < 2**20
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_hex_seed_blob_file_is_inflated_as_it_is_read(p4_file, tmp_path):
+    # Hex digits pass any per-chunk character test, so only inflating the
+    # file piece by piece refuses it before it is held whole (32 MiB of
+    # text, 16 MiB once decoded).
+    blob_file = tmp_path / "zeros.hex"
+    with open(blob_file, "w") as fh:
+        for _ in range(32):
+            fh.write("0" * 2**20)
+    src = Path(__file__).resolve().parents[1] / "src"
+    # VmHWM is the peak RSS of this process image; ru_maxrss would also
+    # count the forked test runner's.
+    code = (
+        "import re, sys; sys.path.insert(0, sys.argv[1]); "
+        "from lcamatch.cli import main; rc = main(sys.argv[2:]); "
+        "status = open('/proc/self/status').read(); "
+        "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), "query", "--graph", p4_file,
+         "--eps", "0.5", "--edge", "0 1", "--seed-blob", f"@{blob_file}"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    rc, peak_kib = proc.stdout.split()
+    assert rc == "1"
+    assert proc.stderr.startswith("error: malformed seed blob")
+    assert int(peak_kib) < 24 * 1024
+
+
 def test_garbage_seed_blob(p4_file, capsys):
     rc = main(["query", "--graph", p4_file, "--eps", "0.5",
                "--edge", "0 1", "--seed-blob", "zz"])

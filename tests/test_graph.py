@@ -72,6 +72,22 @@ def test_load_overlong_line_names_line():
         load_graph(io.StringIO("2 1 1\n#" + "x" * 70000 + "\n0 1\n"))
 
 
+def test_load_joins_lines_across_read_chunks():
+    # load_graph reads 64 KiB chunks: a line cut by a chunk's end is read
+    # whole, and line numbers count on across chunks.
+    g = gen_random_bounded(4096, 3, 1)
+    header, *edges = dump_graph(g).splitlines()
+    # The first edge line starts 2 characters before the first chunk's end.
+    comment = "#" * (2**16 - 4 - len(header))
+    lines = [header, comment, *edges]
+    assert len(header) + len(comment) + 2 == 2**16 - 2
+    assert load_graph(io.StringIO("\n".join(lines) + "\n")) == g
+    assert load_graph(io.StringIO("\n".join(lines))) == g  # no final newline
+    lines[5000] = "0 x"
+    with pytest.raises(GraphFormatError, match="line 5001: edge fields must be integers"):
+        load_graph(io.StringIO("\n".join(lines)))
+
+
 def test_load_edge_count_mismatch():
     with pytest.raises(GraphFormatError, match="declares 2"):
         load_graph(io.StringIO("3 2 2\n0 1\n"))

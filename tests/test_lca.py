@@ -396,6 +396,43 @@ def test_per_query_refusals_do_not_depend_on_query_order():
     assert 0 < len(refused_sets[0]) < len(edges)
 
 
+def test_phase1_table_does_not_depend_on_query_history():
+    # The per-engine table of rank-sorted lower neighbours outlives
+    # per_query clears.  Per-query answers and work must not depend on which
+    # earlier queries filled it: one engine forward, the same engine
+    # backward, and a fresh engine per query agree, refusals included.
+    g = gen_random_bounded(1024, 3, 1)
+    ss = init_seeds(3, 1024, 1)
+    sample = random.Random(3).sample(g.sorted_edges(), 40)
+
+    def run(eng, e):
+        try:
+            answer = eng.query(e)
+        except BudgetExceededError:
+            answer = None
+        s = eng.last_stats
+        if answer is None:
+            assert s.f == eng.budget + 1
+        sizes = s.relevant_set_sizes
+        return answer, s.f, sorted(s.f_by_phase.items()), len(sizes), sum(sizes)
+
+    records = []
+    for budget in (800, 3000):
+        eng = Engine(g, k=3, seeds=ss, budget=budget, cache_mode="per_query")
+        forward = [run(eng, e) for e in sample]
+        backward = [run(eng, e) for e in reversed(sample)][::-1]
+        fresh = [
+            run(Engine(g, k=3, seeds=ss, budget=budget, cache_mode="per_query"), e)
+            for e in sample
+        ]
+        assert forward == backward == fresh
+        assert 0 < sum(r[0] is None for r in forward) < len(sample)
+        records.append(forward)
+    # Computed before the table existed, when every phase-1 decision went
+    # through the general path search.
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "c824a993b2546ec6"
+
+
 # sha256 of repr(fs), the per-query f over the 50-edge sample, by n: sum
 # 79,694, max 6,010 at n=1024; sum 6,139, max 747 at n=4096.
 _PINNED_F_DIGESTS = {1024: "53530be04b6a1b7e", 4096: "c9a85f1a47213e52"}

@@ -227,6 +227,20 @@ def test_blob_round_trip_kwise():
     assert seedset_from_blob(blob) == ss
 
 
+def test_blob_in_pieces_equals_blob_whole():
+    # A file is inflated chunk by chunk; a chunk may end between the two
+    # digits of a byte, and whitespace anywhere is dropped.
+    ss = init_seeds(3, 64, 5)
+    blob = seedset_to_blob(ss)
+    for size in (1, 7, 4096):
+        pieces = [blob[i : i + size] + "\n" for i in range(0, len(blob), size)]
+        assert seedset_from_blob(iter(pieces)) == ss
+    with pytest.raises(ValueError, match="malformed seed blob: odd number"):
+        seedset_from_blob(iter([blob, "a"]))
+    with pytest.raises(ValueError, match="malformed seed blob: truncated"):
+        seedset_from_blob(iter([blob[: len(blob) // 4 * 2]]))
+
+
 def test_blob_from_earlier_version_replays_bit_identical():
     # written by the release that still drew seeds as init_seeds(2, 9, 3, 77)
     blob = (DATA / "seeds-k2-n9-rng77.hex").read_text().strip()
@@ -249,14 +263,16 @@ def test_blob_that_inflates_without_bound_is_refused_at_the_cap():
     chunk = b" " * (1 << 20)
     data = b"".join(deflater.compress(chunk) for _ in range(64)) + deflater.flush()
     blob = data.hex()
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="malformed seed blob"):
-            seedset_from_blob(blob)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # whole, then in 64 KiB pieces: the cap follows the bytes read so far
+    for given in (blob, (blob[i : i + 2**16] for i in range(0, len(blob), 2**16))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="malformed seed blob"):
+                seedset_from_blob(given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_next_prime_matches_sympy_on_every_seed_domain():

@@ -11,7 +11,7 @@ from .ordering import (
     seedset_to_blob,
 )
 from .paths import PathKey, canonical_key, paths_through_edge
-from .querytree import TailEstimate, TreeSample, simulate_query_tree, tail_ccdf
+from .querytree import TailEstimate, tail_ccdf
 
 __version__ = "0.1.0"
 
@@ -34,9 +34,7 @@ __all__ = [
     "PathKey",
     "canonical_key",
     "paths_through_edge",
-    "TreeSample",
     "TailEstimate",
-    "simulate_query_tree",
     "tail_ccdf",
     "__version__",
 ]

@@ -5,15 +5,13 @@ Usage:
     lcamatch materialize --graph FILE --eps EPS [--format text|records]
         [--rng-seed S | --seed-blob HEX|@FILE]
     lcamatch bench --n 256,1024 --d 3 --eps 0.5 --trials 3 [--queries 50]
-        [--rng-seed S]
-    lcamatch querytree --d 3 --trials 100000 --cap 500 [--format csv|text]
-        [--rng-seed S]
+        [--budget B] [--format records|text] [--rng-seed S]
 
 All commands are deterministic given explicit seeds; when neither --rng-seed
 nor --seed-blob is given, the LCAMATCH_RNG_SEED environment variable is the
 fallback, then 0.  Only query and materialize take --seed-blob: bench draws
-graphs of several sizes and querytree ranks no paths, so no one seed set
-fits them.  Answers go to stdout; --verbose diagnostics go to stderr.
+graphs of several sizes, so no one seed set fits it.  Answers go to stdout;
+--verbose diagnostics go to stderr.
 
 Work counters (query --verbose, bench records): ``f`` counts augmenting-path
 checks, the budgeted unit.  Path enumeration keeps only paths that alternate
@@ -24,6 +22,15 @@ number of greedy-MIS decisions computed for augmenting paths; each
 decision's size is 1 plus the lower-ranked augmenting neighbours it scanned
 before it was settled, and ``max_closure``, ``relevant_mean`` and
 ``relevant_max`` summarize those sizes.
+
+bench samples ``--queries`` edges per trial, each queried with a fresh
+per-query memo.  A query that ``--budget`` refuses counts in ``refused``; its
+``f`` (``budget + 1``) enters ``f_mean``/``f_max`` and nothing else.  Over the
+answered queries, ``decisions_max`` is the most MIS decisions one query made,
+and ``tail_slope``/``tail_r_squared`` fit ``log Pr[decisions >= N]``
+(``querytree.tail_ccdf``; null when too few queries reach the tail).
+``valid`` and ``no_short_augmenting_path`` check a full ``materialize()``
+under the default budget: the matching does not depend on the budget.
 """
 
 from __future__ import annotations
@@ -147,14 +154,8 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         for u, v in matching:
             print(f"{u} {v}")
         for key, value in summary.items():
-            print(f"{key}={_fmt(value)}")
+            print(f"{key}={json.dumps(value)}")
     return 0
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -178,14 +179,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 else picker.sample(edges, args.queries)
             )
             fs: list[int] = []
+            decisions: list[int] = []
             decision_sizes: list[int] = []
+            refused = 0
             for e in sample:
-                probe.query(e)
-                assert probe.last_stats is not None
+                try:
+                    probe.query(e)
+                except BudgetExceededError:
+                    refused += 1
+                else:
+                    sizes = probe.last_stats.relevant_set_sizes
+                    decisions.append(len(sizes))
+                    decision_sizes.extend(sizes)
                 fs.append(probe.last_stats.f)
-                decision_sizes.extend(probe.last_stats.relevant_set_sizes)
-            full = Engine(g, k=k, seeds=probe.seeds, budget=args.budget)
-            matching = full.materialize()
+            tail = tail_ccdf(decisions)
+            matching = Engine(g, k=k, seeds=probe.seeds).materialize()
             valid = verify_matching(g, matching)
             record = {
                 "trial": trial,
@@ -196,6 +204,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "order_seed": order_seed,
                 "edges": len(edges),
                 "queries": len(sample),
+                "refused": refused,
                 "matching_size": len(matching),
                 "valid": valid,
                 "no_short_augmenting_path": valid
@@ -206,28 +215,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     round(statistics.fmean(decision_sizes), 3) if decision_sizes else 0.0
                 ),
                 "relevant_max": max(decision_sizes, default=0),
+                "decisions_max": max(decisions, default=0),
+                "tail_slope": tail.slope,
+                "tail_r_squared": tail.r_squared,
             }
             if args.format == "records":
                 print(json.dumps(record, sort_keys=True))
             else:
-                print(" ".join(f"{key}={_fmt(record[key])}" for key in sorted(record)))
-    return 0
-
-
-def cmd_querytree(args: argparse.Namespace) -> int:
-    rng = random.Random(_resolve_rng_seed(args))
-    estimate = tail_ccdf(args.d, args.trials, args.cap, rng)
-    if args.format == "text":
-        print(f"d={estimate.d}")
-        print(f"samples={estimate.samples}")
-        print(f"cap={estimate.cap}")
-        print(f"slope={estimate.slope:.6g}")
-        print(f"r_squared={estimate.r_squared:.6g}")
-        print(f"truncated_fraction={estimate.truncated_fraction:.6g}")
-        print(f"inconclusive={_fmt(estimate.inconclusive)}")
-    else:
-        for line in estimate.csv_lines():
-            print(line)
+                print(" ".join(f"{key}={json.dumps(v)}" for key, v in sorted(record.items())))
     return 0
 
 
@@ -259,26 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="random-graph trials with per-query stats: f_mean/f_max, and "
-             "relevant_mean/relevant_max over MIS decision sizes",
+        help="random-graph trials with per-query stats: f_mean/f_max, "
+             "relevant_mean/relevant_max over MIS decision sizes, refused "
+             "queries, and the tail of MIS decisions per query",
     )
     b.add_argument("--n", type=_int_list, required=True, help="comma list of sizes")
     b.add_argument("--d", type=int, required=True, help="degree bound")
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--trials", type=int, default=1)
     b.add_argument("--queries", type=int, default=50, help="sampled queries per trial")
-    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="per sampled query, refusals count in 'refused'; the "
+                        "validity check uses the default, as the matching does "
+                        "not depend on the budget")
     b.add_argument("--format", choices=("text", "records"), default="records")
     b.add_argument("--rng-seed", type=int, default=None, help="integer seed")
     b.set_defaults(func=cmd_bench)
-
-    t = sub.add_parser("querytree", help="sample query-tree sizes and fit the tail")
-    t.add_argument("--d", type=int, required=True, help="branching degree")
-    t.add_argument("--trials", type=int, default=100_000, help="sample count")
-    t.add_argument("--cap", type=int, default=500)
-    t.add_argument("--format", choices=("csv", "text"), default="csv")
-    t.add_argument("--rng-seed", type=int, default=None, help="integer seed")
-    t.set_defaults(func=cmd_querytree)
 
     return parser
 

@@ -128,6 +128,7 @@ class Engine:
         every phase and match the graph's vertex count.
     rng_seed:
         Used to draw seeds when ``seeds`` is not given; defaults to 0.
+        Giving both is an error.
     budget:
         Max augmenting-path checks per top-level query.
     cache_mode:
@@ -161,6 +162,8 @@ class Engine:
             raise ValueError(f"budget must be positive, got {budget}")
         if cache_mode not in ("shared", "per_query"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
+        if seeds is not None and rng_seed is not None:
+            raise ValueError("provide at most one of seeds and rng_seed")
         if seeds is None:
             seeds = init_seeds(
                 k, max(2, graph.vertex_count), 0 if rng_seed is None else rng_seed

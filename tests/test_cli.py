@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lcamatch.cli import main
+from lcamatch.cli import build_parser, main
 from lcamatch.graph import dump_graph, gen_random_bounded
 from lcamatch.ordering import init_seeds, seedset_to_blob
 
@@ -156,6 +157,35 @@ def test_bench_deterministic(capsys):
         assert r["valid"] is True
         assert r["no_short_augmenting_path"] is True
         assert r["f_max"] >= r["f_mean"] > 0
+        assert r["refused"] == 0
+        assert r["decisions_max"] >= 1
+    # --queries past the edge count queries all 95 edges, enough for a fit.
+    rc = main(["bench", "--n", "64", "--d", "3", "--eps", "0.5",
+               "--queries", "1000", "--rng-seed", "5"])
+    assert rc == 0
+    (r,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert r["queries"] == r["edges"]
+    assert r["tail_slope"] < 0
+    assert 0.0 <= r["tail_r_squared"] <= 1.0
+
+
+def test_bench_counts_refused_queries(capsys):
+    rc = main(["bench", "--n", "1024", "--d", "3", "--eps", "0.34", "--trials", "1",
+               "--queries", "50", "--budget", "300", "--rng-seed", "1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert '"tail_slope": null' in out
+    (r,) = [json.loads(line) for line in out.splitlines()]
+    assert r["k"] == 3
+    assert r["queries"] == r["refused"] == 50
+    # A refused query spends budget + 1 checks and counts in f_mean/f_max ...
+    assert r["f_mean"] == r["f_max"] == 301
+    # ... but not in the decision tail.
+    assert r["decisions_max"] == 0
+    assert r["tail_slope"] is None and r["tail_r_squared"] is None
+    # The validity check materializes under the default budget.
+    assert r["valid"] is True
+    assert r["no_short_augmenting_path"] is True
 
 
 def test_bench_zero_trials(capsys):
@@ -171,25 +201,6 @@ def test_bench_rejects_negative_counts(flag, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and flag in err
-
-
-def test_querytree_csv(capsys):
-    rc = main(["querytree", "--d", "2", "--trials", "2000", "--cap", "40",
-               "--rng-seed", "2"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "N,ccdf"
-    assert lines[1] == "1,1"
-    assert lines[-1].startswith("# d=2 ")
-
-
-def test_querytree_text(capsys):
-    rc = main(["querytree", "--d", "3", "--trials", "2000", "--cap", "60",
-               "--rng-seed", "2", "--format", "text"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "slope=" in out
-    assert "r_squared=" in out
 
 
 def test_env_seed_fallback(k2_file, capsys, monkeypatch):
@@ -256,12 +267,12 @@ def test_seed_flags_mutually_exclusive(p4_file):
 
 @pytest.mark.parametrize(
     "command",
-    [["bench", "--n", "16", "--d", "3", "--eps", "0.5"], ["querytree", "--d", "3"]],
-    ids=["bench", "querytree"],
+    [["bench", "--n", "16", "--d", "3", "--eps", "0.5"]],
+    ids=["bench"],
 )
 def test_seed_blob_is_only_for_query_and_materialize(command):
-    # bench draws graphs of several sizes and querytree ranks no paths, so a
-    # blob would be ignored; argparse refuses it instead.
+    # bench draws graphs of several sizes, so a blob would be ignored;
+    # argparse refuses it instead.
     with pytest.raises(SystemExit) as exc:
         main(command + ["--seed-blob", "zz-not-hex"])
     assert exc.value.code == 2
@@ -343,11 +354,12 @@ def test_seed_blob_with_modulus_zero_is_an_error_not_a_traceback(p4_file, capsys
 
 
 def test_import_and_querytree_load_no_numpy():
+    # bench fits its decision tail with querytree.tail_ccdf.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import lcamatch, lcamatch.cli; "
-        "rc = lcamatch.cli.main(['querytree', '--d', '3', '--trials', '1000', "
-        "'--cap', '50', '--rng-seed', '1', '--format', 'text']); "
+        "rc = lcamatch.cli.main(['bench', '--n', '64', '--d', '3', '--eps', '0.5', "
+        "'--rng-seed', '1', '--format', 'text']); "
         "assert rc == 0; print('numpy' in sys.modules)"
     )
     proc = subprocess.run(
@@ -355,3 +367,18 @@ def test_import_and_querytree_load_no_numpy():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_readme_cli_block_parses():
+    # Every command line the README shows must still parse: a doc naming a
+    # deleted command or flag fails here.  Nothing is run.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("lcamatch ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")

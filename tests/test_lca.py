@@ -283,6 +283,8 @@ def test_engine_validation():
         Engine(g, k=1, cache_mode="sometimes")
     with pytest.raises(ValueError, match="cache_mode"):
         Engine(g, k=1, cache_mode="off")
+    with pytest.raises(ValueError, match="at most one of seeds and rng_seed"):
+        Engine(g, k=2, seeds=init_seeds(2, 4, 0), rng_seed=0)
     eng = Engine(g, k=2, rng_seed=0)
     with pytest.raises(ValueError, match="not in graph"):
         eng.query((0, 3))

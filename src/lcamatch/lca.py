@@ -27,12 +27,11 @@ depend only on the graph and the seeds, so each edge's list is built once
 and kept for the engine's life.
 
 From phase 3 on, candidate paths are enumerated alternating only.  An
-augmenting path of phase ``ell`` uses unmatched edges at odd positions and
-matched edges at even positions of the matching after phase ``ell - 2``, so
-the path search drops a branch at its first edge of the wrong status (the
-alternating search of Hopcroft and Karp).  A dropped path is not augmenting,
-so the greedy rule would have passed over it anyway and answers are
-unchanged.
+augmenting path of phase ``ell`` takes, at each even position, the matched
+edge to its vertex's partner after phase ``ell - 2``, and at each odd one any
+other edge, so the path search follows partners, one memoized per vertex (the
+alternating search of Hopcroft and Karp).  A path it skips is not augmenting,
+so the greedy rule would have passed over it anyway and answers are unchanged.
 
 Work is bounded by a per-query budget on augmenting-path checks: one per
 alternating candidate, which settles whether its two ends are free, and at
@@ -48,6 +47,7 @@ neighbours are kept, since neither depends on an earlier decision.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -57,12 +57,7 @@ from .graph import Graph, mk_edge
 # drops their two metrics, which read 0.
 from .oracles import greedy_mis, intersection_edges  # noqa: F401
 from .ordering import Rank, SeedSet, init_seeds, rank
-from .paths import (
-    EdgeFilter,
-    PathKey,
-    iter_intersecting,
-    paths_through_edge,
-)
+from .paths import Mate, PathKey, iter_intersecting, paths_through_edge
 
 __all__ = [
     "Engine",
@@ -183,7 +178,7 @@ class Engine:
         self.last_stats: Stats | None = None
         # per_query clears _memo (phases 3 and up) and _mis1 (phase 1) only;
         # _ranks and _lower depend on nothing but the graph and the seeds.
-        self._memo: dict[tuple, bool] = {}
+        self._memo: dict[tuple, bool | int] = {}
         self._mis1: dict[tuple[int, int], bool] = {}
         self._ranks: dict[PathKey, Rank] = {}
         self._lower: dict[tuple[int, int], tuple[PathKey, ...]] = {}
@@ -212,6 +207,10 @@ class Engine:
         no edge at ``v`` is in.
         """
         e = self._check_edge(edge)
+        try:
+            ell = operator.index(ell)
+        except TypeError:
+            raise ValueError(f"phase length must be an integer, got {ell!r}") from None
         if ell != -1 and ell not in range(1, 2 * self.k, 2):
             raise ValueError(
                 f"phase length must be -1, or odd and within 1..{2 * self.k - 1}, "
@@ -222,7 +221,12 @@ class Engine:
     # -- validation -------------------------------------------------------
 
     def _check_edge(self, edge: tuple[int, int]) -> tuple[int, int]:
-        u, v = edge
+        # operator.index lets numpy ints through but not floats, which the
+        # edge set would match (0.0 == 0) and adjacency could not index.
+        try:
+            u, v = map(operator.index, edge)
+        except TypeError:
+            raise ValueError(f"edge must be a pair of integers, got {edge!r}") from None
         if not self.graph.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not in graph")
         return mk_edge(u, v)
@@ -255,7 +259,7 @@ class Engine:
         flipped = False
         # At most one chosen path can contain e (chosen paths are disjoint),
         # so the first hit settles it.
-        for p in paths_through_edge(self.graph, e, ell, ok=self._alternating(ell)):
+        for p in paths_through_edge(self.graph, e, ell, mate=self._alternating(ell)):
             if self._path_in_mis(p, ell):
                 flipped = True
                 break
@@ -263,14 +267,15 @@ class Engine:
         self._memo[key] = res
         return res
 
-    def _alternating(self, ell: int) -> EdgeFilter:
-        # An augmenting path of phase ell >= 3 alternates: its odd-position
-        # edges are unmatched after phase ell - 2 and its even-position ones
-        # are matched.  Enumerating under this filter drops a candidate at
-        # its first wrong edge; only the free-end test is left to _augmenting.
+    def _alternating(self, ell: int) -> Mate:
+        # An augmenting path of phase ell >= 3 alternates against the
+        # matching after phase ell - 2: an even-position step from x takes
+        # the edge to x's partner, an odd-position step any other edge.  So
+        # the search needs one partner per vertex, and only the free-end test
+        # is left to _augmenting.
         below = ell - 2
-        in_matching = self._in_matching
-        return lambda e, i: in_matching(e, below) == (i % 2 == 0)
+        partner = self._partner
+        return lambda x: partner(x, below)
 
     def _rank(self, p: PathKey) -> Rank:
         # A path's length is its phase, so the path alone keys the cache.
@@ -325,7 +330,7 @@ class Engine:
             p_rank = rank_of(p)
             lower = [
                 q
-                for q in iter_intersecting(self.graph, p, ok=self._alternating(ell))
+                for q in iter_intersecting(self.graph, p, mate=self._alternating(ell))
                 if self._augmenting(q, ell) and rank_of(q) < p_rank
             ]
             lower.sort(key=rank_of)
@@ -345,7 +350,7 @@ class Engine:
         # p alternates: every path reaching here came from an enumerator
         # under _alternating(ell).  So only its two ends are left to check.
         self._charge(ell, 1)
-        return self._free(p[0], ell) and self._free(p[-1], ell)
+        return self._partner(p[0], ell - 2) < 0 and self._partner(p[-1], ell - 2) < 0
 
     def _charge(self, ell: int, checks: int) -> None:
         # A refused query stops at f == budget + 1, however many checks
@@ -359,15 +364,17 @@ class Engine:
                 f"query exceeded budget of {self.budget} augmenting-path checks"
             )
 
-    def _free(self, v: int, ell: int) -> bool:
-        key = ("f", v, ell)
+    def _partner(self, v: int, ell: int) -> int:
+        # The first neighbour u, in adjacency order, with (v, u) in the
+        # matching after phase ell, or -1.  A matching has at most one.
+        key = ("p", v, ell)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        res = True
-        for u in self.graph.neighbors(v):
-            if self._in_matching(mk_edge(v, u), ell - 2):
-                res = False
+        res = -1
+        for u in self.graph.adjacency[v]:
+            if self._in_matching(mk_edge(v, u), ell):
+                res = u
                 break
         self._memo[key] = res
         return res

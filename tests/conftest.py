@@ -8,6 +8,12 @@ import numpy as np
 
 from lcamatch.graph import Graph, gen_random_bounded
 from lcamatch.ordering import Seed, encode_path
+from lcamatch.paths import PathKey
+
+
+def path_key(seq) -> PathKey:
+    """Canonical key of a vertex sequence: the smaller of it and its reversal."""
+    return PathKey(min(seq, seq[::-1]))
 
 
 def make_graph(n: int, d: int, edges) -> Graph:

@@ -24,10 +24,10 @@ from lcamatch.oracles import (
     verify_matching,
 )
 from lcamatch.ordering import eval_poly, init_seeds
-from lcamatch.paths import canonical_key, intersecting_paths, paths_through_edge
+from lcamatch.paths import iter_intersecting, paths_through_edge
 from lcamatch.querytree import tail_ccdf
 
-from conftest import batch_primary_ranks, small_corpus
+from conftest import batch_primary_ranks, path_key, small_corpus
 
 # Everything materialized by the first four tests, audited by the fifth.
 MATERIALIZED: dict[str, tuple[Graph, frozenset]] = {}
@@ -190,7 +190,7 @@ def _brute_paths_through_edge(g: Graph, e, length):
         if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
             pairs = set(zip(seq, seq[1:])) | set(zip(seq[1:], seq))
             if (e[0], e[1]) in pairs:
-                found.add(canonical_key(g, seq))
+                found.add(path_key(seq))
     return sorted(found)
 
 
@@ -215,7 +215,7 @@ def test_6_path_counting_bounds(capsys):
         assert len(paths) <= edge_bound
         if paths:
             p = rng.choice(paths)
-            neighbors = intersecting_paths(g, p)
+            neighbors = sorted(iter_intersecting(g, p))
             assert len(neighbors) <= dmax * (ell + 1) * edge_bound
         if n <= 10:
             assert paths == _brute_paths_through_edge(g, e, ell)

@@ -5,6 +5,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,20 @@ def test_phase_sizes_never_shrink():
         assert find_augmenting_path(g, m1, 1) is None
 
 
+def test_partner_is_the_mate_in_each_phase_matching():
+    # The path search follows _partner, and _augmenting reads a free end as
+    # _partner < 0: it must be v's mate after phase ell, or -1.
+    for gi, g in enumerate((petersen_graph(), gen_random_bounded(40, 3, 77))):
+        eng = Engine(g, k=3, rng_seed=gi)
+        for ell in (-1, 1, 3, 5):
+            partner = {}
+            for u, v in materialize_phase(eng, ell):
+                partner[u], partner[v] = v, u
+            assert ell == -1 or partner
+            for v in range(g.vertex_count):
+                assert eng._run(lambda: eng._partner(v, ell)) == partner.get(v, -1)
+
+
 def test_full_matching_properties():
     rng = random.Random(50)
     for gi in range(4):
@@ -292,6 +307,26 @@ def test_engine_validation():
         eng.is_in_matching((0, 1), 2)
     with pytest.raises(ValueError, match="odd"):
         eng.is_in_matching((0, 1), 5)
+
+
+def test_malformed_edge_and_phase_raise_value_error():
+    # The edge set matches 0.0 == 0, so a float endpoint used to pass the
+    # membership check and fail later as a TypeError on indexing.
+    g = gen_random_bounded(64, 3, 1)
+    eng = Engine(g, k=2)
+    assert g.has_edge(0, 34)
+    for bad in ((0.0, 34), (0, "34"), (0, None), 34):
+        with pytest.raises(ValueError, match="pair of integers"):
+            eng.query(bad)
+        with pytest.raises(ValueError, match="pair of integers"):
+            eng.is_in_matching(bad, 3)
+    for bad in (3.0, "3", None):
+        with pytest.raises(ValueError, match="phase length must be an integer"):
+            eng.is_in_matching((0, 34), bad)
+    # numpy ints are integers.
+    answer = eng.query((0, 34))
+    assert eng.query((np.int64(0), np.int32(34))) == answer
+    assert eng.is_in_matching((np.int64(34), 0), np.int64(3)) == answer
 
 
 def test_engine_seed_compatibility():
@@ -430,14 +465,15 @@ def test_phase1_table_does_not_depend_on_query_history():
         assert forward == backward == fresh
         assert 0 < sum(r[0] is None for r in forward) < len(sample)
         records.append(forward)
-    # Computed before the table existed, when every phase-1 decision went
-    # through the general path search.
-    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "c824a993b2546ec6"
+    # Answers computed before the table existed, when every phase-1 decision
+    # went through the general path search; f re-derived when the path search
+    # began to follow partners, whose scan stops at the matched edge.
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "435e51bd0b2f764e"
 
 
 # sha256 of repr(fs), the per-query f over the 50-edge sample, by n: sum
-# 79,694, max 6,010 at n=1024; sum 6,139, max 747 at n=4096.
-_PINNED_F_DIGESTS = {1024: "53530be04b6a1b7e", 4096: "c9a85f1a47213e52"}
+# 65,501, max 5,213 at n=1024; sum 5,311, max 667 at n=4096.
+_PINNED_F_DIGESTS = {1024: "0247dbb9678dc714", 4096: "cfea58be14b1129b"}
 
 
 @pytest.mark.parametrize(
@@ -487,6 +523,8 @@ def test_queries_reach_the_enumerators_through_module_globals(monkeypatch):
     for name in ("iter_intersecting", "paths_through_edge"):
 
         def counted(*args, _fn=getattr(lca, name), _name=name, **kwargs):
+            # Every engine enumeration follows the previous phase's partners.
+            assert callable(kwargs["mate"])
             calls[_name] += 1
             return _fn(*args, **kwargs)
 

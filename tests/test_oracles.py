@@ -15,9 +15,9 @@ from lcamatch.oracles import (
     max_matching_bruteforce,
     verify_matching,
 )
-from lcamatch.paths import PathKey, canonical_key
+from lcamatch.paths import PathKey
 
-from conftest import complete_graph, cycle_graph, path_graph, petersen_graph
+from conftest import complete_graph, cycle_graph, path_graph, path_key, petersen_graph
 
 
 def test_verify_matching_basic():
@@ -96,11 +96,11 @@ def test_berge_certificate_for_bruteforce_optimum():
 
 def test_is_augmenting_for_patterns():
     g = path_graph(4)
-    whole = canonical_key(g, [0, 1, 2, 3])
+    whole = path_key([0, 1, 2, 3])
     assert is_augmenting_for(g, whole, {(1, 2)})
     assert not is_augmenting_for(g, whole, {(0, 1)})
     assert not is_augmenting_for(g, whole, set())
-    edge = canonical_key(g, [1, 2])
+    edge = path_key([1, 2])
     assert is_augmenting_for(g, edge, set())
     assert not is_augmenting_for(g, edge, {(0, 1)})
 
@@ -162,7 +162,7 @@ def test_augmenting_paths_match_brute_force():
                 expected = set()
                 for seq in itertools.permutations(range(n), ell + 1):
                     if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
-                        p = canonical_key(g, seq)
+                        p = path_key(seq)
                         if is_augmenting_for(g, p, matching):
                             expected.add(p)
                 assert augmenting_paths(g, matching, ell) == expected

@@ -7,16 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcamatch.graph import gen_random_bounded, mk_edge
-from lcamatch.paths import (
-    PathKey,
-    canonical_key,
-    intersecting_paths,
-    iter_intersecting,
-    paths_through_edge,
-    paths_through_vertex,
-)
+from lcamatch.paths import PathKey, iter_intersecting, paths_through_edge
 
-from conftest import cycle_graph, path_graph, petersen_graph
+from conftest import cycle_graph, path_graph, path_key, petersen_graph
 
 
 def brute_paths_through_edge(g, e, length):
@@ -33,30 +26,10 @@ def brute_paths_through_edge(g, e, length):
     return found
 
 
-def test_canonical_key_picks_smaller_orientation():
-    g = path_graph(4)
-    assert canonical_key(g, [2, 1, 0]) == PathKey((0, 1, 2))
-    assert canonical_key(g, [0, 1, 2]) == PathKey((0, 1, 2))
-    assert canonical_key(g, (3, 2)) == PathKey((2, 3))
-
-
-def test_canonical_key_rejects_bad_sequences():
-    g = path_graph(4)
-    with pytest.raises(ValueError, match="not adjacent"):
-        canonical_key(g, [0, 2])
-    with pytest.raises(ValueError, match="repeated"):
-        canonical_key(g, [0, 1, 0])
-    with pytest.raises(ValueError, match="at least 2"):
-        canonical_key(g, [1])
-    with pytest.raises(ValueError, match="out of range"):
-        canonical_key(g, [3, 4])
-
-
 def test_pathkey_accessors():
     p = PathKey((0, 1, 2, 3))
     assert p.length == 3
     assert p.edge_seq() == [(0, 1), (1, 2), (2, 3)]
-    assert p.endpoints() == (0, 3)
 
 
 def test_single_edge_path():
@@ -68,9 +41,9 @@ def test_c5_paths_through_edge_length3():
     g = cycle_graph(5)
     out = paths_through_edge(g, (0, 1), 3)
     expected = {
-        canonical_key(g, [0, 1, 2, 3]),
-        canonical_key(g, [4, 0, 1, 2]),
-        canonical_key(g, [3, 4, 0, 1]),
+        path_key([0, 1, 2, 3]),
+        path_key([4, 0, 1, 2]),
+        path_key([3, 4, 0, 1]),
     }
     assert set(out) == expected
     assert len(out) == 3
@@ -85,22 +58,24 @@ def test_paths_through_edge_validation():
         paths_through_edge(g, (0, 1), 0)
 
 
-def test_paths_through_vertex_midpoint_and_endpoint():
+def test_intersecting_paths_midpoint_and_endpoint():
     g = path_graph(5)
-    # vertex 2 sits inside or at the end of these length-2 paths
-    out = paths_through_vertex(g, 2, 2)
-    expected = {
-        canonical_key(g, [0, 1, 2]),
-        canonical_key(g, [1, 2, 3]),
-        canonical_key(g, [2, 3, 4]),
-    }
-    assert set(out) == expected
+    # (2, 3, 4) meets (0, 1, 2) only at an end of both; (1, 2, 3) meets both
+    # at its midpoint.
+    assert sorted(iter_intersecting(g, path_key([0, 1, 2]))) == [
+        path_key([1, 2, 3]),
+        path_key([2, 3, 4]),
+    ]
+    assert sorted(iter_intersecting(g, path_key([1, 2, 3]))) == [
+        path_key([0, 1, 2]),
+        path_key([2, 3, 4]),
+    ]
 
 
 def test_intersecting_paths_on_c5_single_edges():
     g = cycle_graph(5)
     p = PathKey((0, 1))
-    out = intersecting_paths(g, p)
+    out = sorted(iter_intersecting(g, p))
     assert set(out) == {PathKey((0, 4)), PathKey((1, 2))}
     assert p not in out
 
@@ -109,8 +84,8 @@ def test_intersecting_paths_symmetry():
     g = petersen_graph()
     for e in sorted(g.edges)[:5]:
         for p in paths_through_edge(g, e, 3):
-            for q in intersecting_paths(g, p):
-                assert p in intersecting_paths(g, q)
+            for q in iter_intersecting(g, p):
+                assert p in set(iter_intersecting(g, q))
 
 
 def test_enumeration_matches_bruteforce_small():
@@ -142,12 +117,9 @@ def test_vertex_enumeration_matches_bruteforce():
             every = set()
             for e in g.edges:
                 every |= brute_paths_through_edge(g, e, length)
-            for v in range(g.vertex_count):
-                expected = sorted(p for p in every if v in p)
-                assert paths_through_vertex(g, v, length) == expected
-            for p in sorted(every)[:: max(1, len(every) // 8)]:
+            for p in every:
                 expected = sorted(q for q in every if q != p and set(q) & set(p))
-                assert intersecting_paths(g, p) == expected
+                assert sorted(iter_intersecting(g, p)) == expected
 
 
 def random_matching(g, rng):
@@ -173,25 +145,31 @@ def test_filtered_enumeration_keeps_exactly_the_alternating_paths():
             continue
         graphs += 1
         matching = random_matching(g, rng)
+        partner = {}
+        for u, v in matching:
+            partner[u], partner[v] = v, u
+
+        def mate(x):
+            assert 0 <= x < g.vertex_count
+            return partner.get(x, -1)
+
+        def alternates(p):
+            return all(
+                (e in matching) == (i % 2 == 0)
+                for i, e in enumerate(p.edge_seq(), start=1)
+            )
+
         for length in (1, 3, 5):
-
-            def ok(e, i):
-                assert e in g.edges and 1 <= i <= length
-                return (e in matching) == (i % 2 == 0)
-
-            def alternates(p):
-                return all(ok(e, i) for i, e in enumerate(p.edge_seq(), start=1))
-
             every = set()
             for e in g.sorted_edges():
                 through = paths_through_edge(g, e, length)
                 every |= set(through)
                 expected = [p for p in through if alternates(p)]
-                assert paths_through_edge(g, e, length, ok=ok) == expected
+                assert paths_through_edge(g, e, length, mate=mate) == expected
                 kept[length] += len(expected)
             for p in sorted(every)[:: max(1, len(every) // 10)]:
                 expected = {q for q in iter_intersecting(g, p) if alternates(q)}
-                assert set(iter_intersecting(g, p, ok=ok)) == expected
+                assert set(iter_intersecting(g, p, mate=mate)) == expected
     assert graphs >= 6
     assert kept[3] > 0 and kept[5] > 0
 
@@ -216,7 +194,7 @@ def test_counting_bounds(n, d, seed, length):
         p = through[0]
         # conflict-graph degree
         limit = d * (length + 1) * length * max(1, (d - 1)) ** (length - 1)
-        assert len(intersecting_paths(g, p)) <= limit
+        assert len(list(iter_intersecting(g, p))) <= limit
 
 
 def test_outputs_are_sorted_and_unique():
@@ -226,6 +204,5 @@ def test_outputs_are_sorted_and_unique():
         assert out == sorted(out)
         assert len(out) == len(set(out))
         if out:
-            inter = intersecting_paths(g, out[0])
-            assert inter == sorted(inter)
+            inter = list(iter_intersecting(g, out[0]))
             assert len(inter) == len(set(inter))

@@ -10,7 +10,7 @@ from .ordering import (
     seedset_from_blob,
     seedset_to_blob,
 )
-from .paths import PathKey, paths_through_edge
+from .paths import PathKey
 from .querytree import TailEstimate, tail_ccdf
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "seedset_to_blob",
     "seedset_from_blob",
     "PathKey",
-    "paths_through_edge",
     "TailEstimate",
     "tail_ccdf",
     "__version__",

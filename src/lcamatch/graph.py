@@ -8,6 +8,7 @@ lines ``u v``.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -38,6 +39,15 @@ class GraphFormatError(ValueError):
 def mk_edge(u: int, v: int) -> tuple[int, int]:
     """Canonical edge as an ordered pair."""
     return (u, v) if u < v else (v, u)
+
+
+def _vertex_id(v: int) -> int:
+    # operator.index lets numpy ints through but not floats, which the edge
+    # set would match (0.0 == 0) and adjacency could not index.
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"vertex id must be an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -113,13 +123,15 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """Sorted neighbors of ``v``; raises for out-of-range ids."""
+        """Sorted neighbors of ``v``; raises for non-integer or out-of-range ids."""
+        v = _vertex_id(v)
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex {v} out of range for n={self.vertex_count}")
         return self.adjacency[v] if v < len(self.adjacency) else ()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return mk_edge(u, v) in self.edges
+        """True iff ``(u, v)`` is an edge; raises for non-integer ids."""
+        return mk_edge(_vertex_id(u), _vertex_id(v)) in self.edges
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 
-from lcamatch.graph import Graph, gen_random_bounded
+from lcamatch.graph import Graph, gen_random_bounded, mk_edge
 from lcamatch.ordering import Seed, encode_path
 from lcamatch.paths import PathKey
 
@@ -14,6 +15,75 @@ from lcamatch.paths import PathKey
 def path_key(seq) -> PathKey:
     """Canonical key of a vertex sequence: the smaller of it and its reversal."""
     return PathKey(min(seq, seq[::-1]))
+
+
+def brute_paths_through_edge(g: Graph, e, length: int) -> list[PathKey]:
+    """Oracle: every injective vertex sequence of ``length`` edges through ``e``.
+
+    Tries all ``length + 1``-permutations of the vertices, so keep ``g`` to
+    ten vertices or so.  Returns sorted canonical keys.
+    """
+    e = mk_edge(*e)
+    adjacent = g.edges | {(b, a) for a, b in g.edges}
+    found = set()
+    for seq in itertools.permutations(range(g.vertex_count), length + 1):
+        pairs = list(zip(seq, seq[1:]))
+        if all(x in adjacent for x in pairs) and e in {mk_edge(*x) for x in pairs}:
+            found.add(path_key(seq))
+    return sorted(found)
+
+
+def simple_paths(g: Graph, length: int) -> list[PathKey]:
+    """Every simple path of ``length`` edges, sorted by canonical key.
+
+    A plain depth-first search from every vertex, independent of
+    ``lcamatch.paths``: it finds each path once from each end.
+    """
+    found = set()
+
+    def grow(path: list[int]) -> None:
+        if len(path) == length + 1:
+            found.add(path_key(tuple(path)))
+            return
+        for w in g.neighbors(path[-1]):
+            if w not in path:
+                path.append(w)
+                grow(path)
+                path.pop()
+
+    for v in range(g.vertex_count):
+        grow([v])
+    return sorted(found)
+
+
+def random_matching(g: Graph, rng: random.Random) -> set[tuple[int, int]]:
+    """A random matching of ``g``: greedy over shuffled edges, each kept w.p. 0.7."""
+    edges = g.sorted_edges()
+    rng.shuffle(edges)
+    matching, covered = set(), set()
+    for u, v in edges:
+        if u not in covered and v not in covered and rng.random() < 0.7:
+            matching.add((u, v))
+            covered |= {u, v}
+    return matching
+
+
+def mate_of(g: Graph, matching):
+    """``paths.Mate`` of ``matching``: a vertex's partner, or -1 if it is free."""
+    partner = {}
+    for u, v in matching:
+        partner[u], partner[v] = v, u
+
+    def mate(x: int) -> int:
+        assert 0 <= x < g.vertex_count
+        return partner.get(x, -1)
+
+    return mate
+
+
+def alternates(p: PathKey, matching) -> bool:
+    """True iff the ``i``-th edge of ``p`` (1-based) is matched iff ``i`` is even."""
+    return all((e in matching) == (i % 2 == 0) for i, e in enumerate(p.edge_seq(), 1))
 
 
 def make_graph(n: int, d: int, edges) -> Graph:

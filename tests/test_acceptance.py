@@ -6,6 +6,7 @@ audits every matching the earlier tests materialized, so the module is
 meant to run top to bottom (plain ``pytest`` does that).
 """
 
+import collections
 import itertools
 import math
 import random
@@ -27,7 +28,15 @@ from lcamatch.ordering import eval_poly, init_seeds
 from lcamatch.paths import iter_intersecting, paths_through_edge
 from lcamatch.querytree import tail_ccdf
 
-from conftest import batch_primary_ranks, path_key, small_corpus
+from conftest import (
+    alternates,
+    batch_primary_ranks,
+    brute_paths_through_edge,
+    mate_of,
+    random_matching,
+    simple_paths,
+    small_corpus,
+)
 
 # Everything materialized by the first four tests, audited by the fifth.
 MATERIALIZED: dict[str, tuple[Graph, frozenset]] = {}
@@ -183,22 +192,14 @@ def test_5_matching_validity(capsys):
             f"{len(MATERIALIZED)} materialized matchings audited")
 
 
-def _brute_paths_through_edge(g: Graph, e, length):
-    """Exhaustive path enumeration by trying every vertex sequence."""
-    found = set()
-    for seq in itertools.permutations(range(g.vertex_count), length + 1):
-        if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
-            pairs = set(zip(seq, seq[1:])) | set(zip(seq[1:], seq))
-            if (e[0], e[1]) in pairs:
-                found.add(path_key(seq))
-    return sorted(found)
-
-
 def test_6_path_counting_bounds(capsys):
+    # Each triple draws its own random matching, and both enumerators run
+    # against it as the engine runs them.
     start = time.perf_counter()
     rng = random.Random(6)
     triples = 0
     oracle_checks = 0
+    found = collections.Counter()
     gen = 6000
     while triples < 1000:
         n = rng.randrange(4, 13)
@@ -210,20 +211,32 @@ def test_6_path_counting_bounds(capsys):
         dmax = max(g.degree(v) for v in range(n))
         e = rng.choice(g.sorted_edges())
         ell = rng.choice((1, 3, 5))
-        paths = paths_through_edge(g, e, ell)
+        matching = random_matching(g, random.Random(gen))
+        mate = mate_of(g, matching)
+        paths = paths_through_edge(g, e, ell, mate=mate)
+        found[ell] += len(paths)
         edge_bound = ell * (dmax - 1) ** (ell - 1)
         assert len(paths) <= edge_bound
         if paths:
             p = rng.choice(paths)
-            neighbors = sorted(iter_intersecting(g, p))
+            neighbors = sorted(iter_intersecting(g, p, mate=mate))
             assert len(neighbors) <= dmax * (ell + 1) * edge_bound
         if n <= 10:
-            assert paths == _brute_paths_through_edge(g, e, ell)
+            expected = brute_paths_through_edge(g, e, ell)
+            assert paths == [q for q in expected if alternates(q, matching)]
+            if paths:
+                assert neighbors == [
+                    q
+                    for q in simple_paths(g, ell)
+                    if q != p and alternates(q, matching) and set(q) & set(p)
+                ]
             oracle_checks += 1
         triples += 1
+    assert found[3] > 0 and found[5] > 0, found
     elapsed = time.perf_counter() - start
     _report(capsys, 6, "path-counting-bounds",
             f"{triples} triples, {oracle_checks} oracle comparisons, "
+            f"alternating paths found by length {dict(sorted(found.items()))}, "
             f"{elapsed:.1f}s")
 
 
@@ -314,9 +327,7 @@ def test_9_ordering_uniformity_and_collisions(capsys):
 
     # primary ranks collide for only a tiny fraction of seed draws
     g = gen_random_bounded(50, 4, 9000)
-    all_paths = sorted(
-        {p for e in g.sorted_edges() for p in paths_through_edge(g, e, 3)}
-    )
+    all_paths = simple_paths(g, 3)
     assert len(all_paths) > 100
     collisions = 0
     trials = 1000

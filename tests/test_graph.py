@@ -1,13 +1,14 @@
 import io
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcamatch.graph import Graph, GraphFormatError, dump_graph, gen_random_bounded, load_graph, mk_edge
 from lcamatch.lca import Engine
-from lcamatch.oracles import find_augmenting_path
+from lcamatch.oracles import find_augmenting_path, verify_matching
 
 
 TRIANGLE = "3 3 2\n0 1\n1 2\n0 2\n"
@@ -115,6 +116,24 @@ def test_neighbors_out_of_range():
         g.neighbors(2)
     with pytest.raises(ValueError, match="out of range"):
         g.neighbors(-1)
+
+
+def test_vertex_ids_must_be_integers():
+    # A float equal to an id would match the edge set (0.0 == 0) but cannot
+    # index adjacency; numpy integers are ids.
+    g = gen_random_bounded(64, 3, 1)
+    assert g.has_edge(0, 34)
+    for call in (
+        lambda: g.neighbors(0.0),
+        lambda: g.degree(1.5),
+        lambda: g.has_edge(0.0, 34),
+        lambda: g.has_edge(0, "34"),
+        lambda: verify_matching(g, {(0.0, 34)}),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    assert g.neighbors(np.int64(0)) == g.neighbors(0)
+    assert g.has_edge(np.int64(0), np.int64(34))
 
 
 def test_mk_edge_orders_endpoints():

@@ -23,9 +23,9 @@ from lcamatch.oracles import (
     intersection_edges,
     verify_matching,
 )
-from lcamatch.paths import PathKey, paths_through_edge
+from lcamatch.paths import PathKey
 
-from conftest import cycle_graph, find_order_seed, path_graph, petersen_graph
+from conftest import cycle_graph, find_order_seed, path_graph, petersen_graph, simple_paths
 
 
 def materialize_phase(engine, ell):
@@ -152,7 +152,7 @@ def test_path_in_mis_matches_global_for_every_path():
     # Phase ell picked p iff every edge of p flipped between ell - 2 and ell:
     # picked paths are vertex-disjoint, so the flipped edges split exactly
     # into them.  Checked over every path of the phase length, augmenting or
-    # not, from the unfiltered enumerator.
+    # not, from the reference search.
     rng = random.Random(9)
     for gi in range(6):
         n = rng.randrange(5, 13)
@@ -165,9 +165,7 @@ def test_path_in_mis_matches_global_for_every_path():
             eng = Engine(g, k=3, seeds=ss)
             matching = frozenset()
             for ell in (1, 3, 5):
-                every = {
-                    p for e in g.sorted_edges() for p in paths_through_edge(g, e, ell)
-                }
+                every = simple_paths(g, ell)
                 if ell > 2 * eng.k - 1:
                     # k was clamped: no path this long exists
                     assert not every

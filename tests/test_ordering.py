@@ -22,18 +22,11 @@ from lcamatch.ordering import (
     seedset_from_blob,
     seedset_to_blob,
 )
-from lcamatch.paths import PathKey, paths_through_edge
+from lcamatch.paths import PathKey
 
-from conftest import batch_primary_ranks
+from conftest import batch_primary_ranks, simple_paths
 
 DATA = Path(__file__).parent / "data"
-
-
-def all_paths_of_length(g, length):
-    found = set()
-    for e in g.edges:
-        found.update(paths_through_edge(g, e, length))
-    return sorted(found)
 
 
 def test_init_seeds_structure_k1_n2():
@@ -96,7 +89,7 @@ def test_rank_hand_example_low_bit():
 def test_encode_path_injective_on_small_domain():
     g = gen_random_bounded(12, 3, 3)
     seen = {}
-    for p in all_paths_of_length(g, 3):
+    for p in simple_paths(g, 3):
         x = encode_path(p, 12)
         assert x not in seen
         assert x < 12**4
@@ -129,7 +122,7 @@ def _with_zero_top_copies(seed, m):
 
 def test_lazy_rank_sorts_like_the_eager_tuple():
     g = gen_random_bounded(8, 3, 5)
-    by_phase = {ell: all_paths_of_length(g, ell) for ell in (1, 3, 5)}
+    by_phase = {ell: simple_paths(g, ell) for ell in (1, 3, 5)}
     shuffler = random.Random(4)
     for rng_seed in range(50):
         ss = init_seeds(3, 8, rng_seed)
@@ -183,7 +176,7 @@ def test_precedes_totality_and_transitivity():
     g = gen_random_bounded(14, 3, 11)
     ss = init_seeds(2, 14, 17)
     s = ss.phases[3]
-    paths = all_paths_of_length(g, 3)
+    paths = simple_paths(g, 3)
     assert len(paths) >= 8
     for p, q in itertools.combinations(paths[:12], 2):
         assert (rank(p, s) < rank(q, s)) != (rank(q, s) < rank(p, s))
@@ -209,7 +202,7 @@ def test_pairwise_uniformity_exhaustive_mod7():
 
 def test_vectorized_ranks_match_scalar():
     g = gen_random_bounded(50, 3, 21)
-    paths = all_paths_of_length(g, 3)[:200]
+    paths = simple_paths(g, 3)[:200]
     ss = init_seeds(2, 50, 9)
     s = ss.phases[3]
     assert s.modulus < (1 << 31)

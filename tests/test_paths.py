@@ -1,29 +1,31 @@
 import collections
-import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcamatch.graph import gen_random_bounded, mk_edge
+from lcamatch.graph import gen_random_bounded
 from lcamatch.paths import PathKey, iter_intersecting, paths_through_edge
 
-from conftest import cycle_graph, path_graph, path_key, petersen_graph
+from conftest import (
+    alternates,
+    brute_paths_through_edge,
+    cycle_graph,
+    make_graph,
+    mate_of,
+    path_graph,
+    path_key,
+    petersen_graph,
+    random_matching,
+    simple_paths,
+)
 
 
-def brute_paths_through_edge(g, e, length):
-    """Oracle: filter all injective vertex sequences of the right length."""
-    e = mk_edge(*e)
-    found = set()
-    for seq in itertools.permutations(range(g.vertex_count), length + 1):
-        if any(not g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
-            continue
-        if e not in {mk_edge(a, b) for a, b in zip(seq, seq[1:])}:
-            continue
-        rev = seq[::-1]
-        found.add(PathKey(seq if seq <= rev else rev))
-    return found
+def free(x):
+    """The empty matching's ``mate``: every vertex is free."""
+    return -1
 
 
 def test_pathkey_accessors():
@@ -34,58 +36,84 @@ def test_pathkey_accessors():
 
 def test_single_edge_path():
     g = path_graph(4)
-    assert paths_through_edge(g, (2, 1), 1) == [PathKey((1, 2))]
+    assert paths_through_edge(g, (2, 1), 1, mate=free) == [PathKey((1, 2))]
+    # A matched edge is no alternating path of length 1.
+    assert paths_through_edge(g, (2, 1), 1, mate=mate_of(g, {(1, 2)})) == []
 
 
 def test_c5_paths_through_edge_length3():
+    # Against {(0, 1)}, the one alternating path of length 3 holds (0, 1) in
+    # the middle, and each of its edges finds it.
     g = cycle_graph(5)
-    out = paths_through_edge(g, (0, 1), 3)
-    expected = {
-        path_key([0, 1, 2, 3]),
-        path_key([4, 0, 1, 2]),
-        path_key([3, 4, 0, 1]),
-    }
-    assert set(out) == expected
-    assert len(out) == 3
-    assert out == sorted(out)
+    mate = mate_of(g, {(0, 1)})
+    expected = [path_key([4, 0, 1, 2])]
+    for e in expected[0].edge_seq():
+        assert paths_through_edge(g, e, 3, mate=mate) == expected
+    assert paths_through_edge(g, (2, 3), 3, mate=mate) == []
 
 
 def test_paths_through_edge_validation():
     g = path_graph(4)
     with pytest.raises(ValueError, match="not in graph"):
-        paths_through_edge(g, (0, 3), 3)
+        paths_through_edge(g, (0, 3), 3, mate=free)
     with pytest.raises(ValueError, match="positive"):
-        paths_through_edge(g, (0, 1), 0)
+        paths_through_edge(g, (0, 1), 0, mate=free)
+    with pytest.raises(ValueError, match="integer"):
+        paths_through_edge(g, (0.0, 1), 1, mate=free)
+    # numpy integers are ids, and the paths found hold plain ints.
+    mate = mate_of(g, {(1, 2)})
+    out = paths_through_edge(g, (np.int64(2), np.int64(1)), 3, mate=mate)
+    assert out == [PathKey((0, 1, 2, 3))]
+    assert {type(x) for x in out[0]} == {int}
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_even_lengths_are_refused(length):
+    # Under a matching an even-length path alternates from one end but not
+    # from the other, so which edge asked would decide whether it is found.
+    g = path_graph(6)
+    mate = mate_of(g, {(1, 2), (3, 4)})
+    with pytest.raises(ValueError, match="odd"):
+        paths_through_edge(g, (0, 1), length, mate=mate)
+    with pytest.raises(ValueError, match="odd"):
+        iter_intersecting(g, PathKey(range(length + 1)), mate=mate)
 
 
 def test_intersecting_paths_midpoint_and_endpoint():
-    g = path_graph(5)
-    # (2, 3, 4) meets (0, 1, 2) only at an end of both; (1, 2, 3) meets both
-    # at its midpoint.
-    assert sorted(iter_intersecting(g, path_key([0, 1, 2]))) == [
-        path_key([1, 2, 3]),
-        path_key([2, 3, 4]),
-    ]
-    assert sorted(iter_intersecting(g, path_key([1, 2, 3]))) == [
-        path_key([0, 1, 2]),
-        path_key([2, 3, 4]),
-    ]
+    # A spider on the matched edge (1, 2), plus a tail through the matched
+    # edge (6, 7).  (3, 6, 7, 8) meets (0, 1, 2, 3) only at an end of both;
+    # (4, 1, 2, 5) meets it only in its middle.
+    g = make_graph(
+        9, 3, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (6, 7), (7, 8)]
+    )
+    mate = mate_of(g, {(1, 2), (6, 7)})
+    p, q = path_key([0, 1, 2, 3]), path_key([3, 6, 7, 8])
+    assert sorted(iter_intersecting(g, p, mate=mate)) == sorted(
+        [path_key([0, 1, 2, 5]), path_key([4, 1, 2, 3]), path_key([4, 1, 2, 5]), q]
+    )
+    assert sorted(iter_intersecting(g, q, mate=mate)) == sorted(
+        [p, path_key([4, 1, 2, 3])]
+    )
 
 
 def test_intersecting_paths_on_c5_single_edges():
     g = cycle_graph(5)
     p = PathKey((0, 1))
-    out = sorted(iter_intersecting(g, p))
+    out = sorted(iter_intersecting(g, p, mate=mate_of(g, {(2, 3)})))
     assert set(out) == {PathKey((0, 4)), PathKey((1, 2))}
     assert p not in out
 
 
 def test_intersecting_paths_symmetry():
     g = petersen_graph()
-    for e in sorted(g.edges)[:5]:
-        for p in paths_through_edge(g, e, 3):
-            for q in iter_intersecting(g, p):
-                assert p in set(iter_intersecting(g, q))
+    mate = mate_of(g, random_matching(g, random.Random(3)))
+    checked = 0
+    for e in sorted(g.edges):
+        for p in paths_through_edge(g, e, 3, mate=mate):
+            for q in iter_intersecting(g, p, mate=mate):
+                assert p in set(iter_intersecting(g, q, mate=mate))
+                checked += 1
+    assert checked > 0
 
 
 def test_enumeration_matches_bruteforce_small():
@@ -97,81 +125,76 @@ def test_enumeration_matches_bruteforce_small():
         g = gen_random_bounded(n, d, 900 + gi)
         if g.edge_count == 0:
             continue
+        matching = random_matching(g, rng)
+        mate = mate_of(g, matching)
         edges = g.sorted_edges()
-        for length in (1, 2, 3, 5):
+        for length in (1, 3, 5):
             e = edges[rng.randrange(len(edges))]
-            assert set(paths_through_edge(g, e, length)) == brute_paths_through_edge(
-                g, e, length
-            )
+            expected = [
+                p for p in brute_paths_through_edge(g, e, length) if alternates(p, matching)
+            ]
+            assert paths_through_edge(g, e, length, mate=mate) == expected
             cases += 1
     assert cases >= 30
 
 
 def test_vertex_enumeration_matches_bruteforce():
-    # Even lengths put some vertices exactly mid-path, where growing from the
-    # vertex meets each path once per orientation.
     rng = random.Random(5151)
     for gi in range(6):
         g = gen_random_bounded(rng.randrange(5, 10), rng.randrange(2, 5), 700 + gi)
-        for length in (1, 2, 3, 4, 5):
+        matching = random_matching(g, rng)
+        mate = mate_of(g, matching)
+        for length in (1, 3, 5):
             every = set()
             for e in g.edges:
-                every |= brute_paths_through_edge(g, e, length)
+                every |= set(brute_paths_through_edge(g, e, length))
+            every = {p for p in every if alternates(p, matching)}
             for p in every:
                 expected = sorted(q for q in every if q != p and set(q) & set(p))
-                assert sorted(iter_intersecting(g, p)) == expected
-
-
-def random_matching(g, rng):
-    edges = g.sorted_edges()
-    rng.shuffle(edges)
-    matching, covered = set(), set()
-    for u, v in edges:
-        if u not in covered and v not in covered and rng.random() < 0.7:
-            matching.add((u, v))
-            covered |= {u, v}
-    return matching
+                assert sorted(iter_intersecting(g, p, mate=mate)) == expected
 
 
 def test_filtered_enumeration_keeps_exactly_the_alternating_paths():
-    # The engine's filter: the i-th edge must be matched iff i is even.  For
-    # odd lengths that reads the same from either end of a path.
+    # On graphs too large for the permutation oracle: every alternating path
+    # from the reference search is found through each of its edges and from
+    # each path it meets, and nothing else is.
     rng = random.Random(6262)
     graphs = 0
     kept = collections.Counter()
     for gi in range(8):
-        g = gen_random_bounded(rng.randrange(6, 11), rng.randrange(2, 5), 600 + gi)
+        g = gen_random_bounded(rng.randrange(10, 21), rng.randrange(2, 5), 600 + gi)
         if g.edge_count == 0:
             continue
         graphs += 1
         matching = random_matching(g, rng)
-        partner = {}
-        for u, v in matching:
-            partner[u], partner[v] = v, u
-
-        def mate(x):
-            assert 0 <= x < g.vertex_count
-            return partner.get(x, -1)
-
-        def alternates(p):
-            return all(
-                (e in matching) == (i % 2 == 0)
-                for i, e in enumerate(p.edge_seq(), start=1)
-            )
-
+        mate = mate_of(g, matching)
         for length in (1, 3, 5):
-            every = set()
+            every = [p for p in simple_paths(g, length) if alternates(p, matching)]
+            through = collections.defaultdict(list)
+            for p in every:
+                for e in p.edge_seq():
+                    through[e].append(p)
             for e in g.sorted_edges():
-                through = paths_through_edge(g, e, length)
-                every |= set(through)
-                expected = [p for p in through if alternates(p)]
-                assert paths_through_edge(g, e, length, mate=mate) == expected
-                kept[length] += len(expected)
-            for p in sorted(every)[:: max(1, len(every) // 10)]:
-                expected = {q for q in iter_intersecting(g, p) if alternates(q)}
+                assert paths_through_edge(g, e, length, mate=mate) == through[e]
+            kept[length] += len(every)
+            for p in every[:: max(1, len(every) // 10)]:
+                expected = {q for q in every if q != p and set(q) & set(p)}
                 assert set(iter_intersecting(g, p, mate=mate)) == expected
     assert graphs >= 6
     assert kept[3] > 0 and kept[5] > 0
+
+
+def test_simple_paths_matches_bruteforce():
+    # The reference search above against the permutation oracle, even
+    # lengths included.
+    for gi in range(6):
+        g = gen_random_bounded(7, 3, 300 + gi)
+        for length in (1, 2, 3, 4, 5):
+            every = simple_paths(g, length)
+            for e in g.sorted_edges():
+                assert [p for p in every if e in p.edge_seq()] == brute_paths_through_edge(
+                    g, e, length
+                )
 
 
 @given(
@@ -187,22 +210,27 @@ def test_counting_bounds(n, d, seed, length):
         return
     rng = random.Random(seed)
     e = sorted(g.edges)[rng.randrange(g.edge_count)]
-    through = paths_through_edge(g, e, length)
+    mate = mate_of(g, random_matching(g, rng))
+    through = paths_through_edge(g, e, length, mate=mate)
     # paths through one edge
     assert len(through) <= length * max(1, (d - 1)) ** (length - 1)
     if through:
         p = through[0]
         # conflict-graph degree
         limit = d * (length + 1) * length * max(1, (d - 1)) ** (length - 1)
-        assert len(list(iter_intersecting(g, p))) <= limit
+        assert len(list(iter_intersecting(g, p, mate=mate))) <= limit
 
 
 def test_outputs_are_sorted_and_unique():
     g = petersen_graph()
-    for e in sorted(g.edges)[:4]:
-        out = paths_through_edge(g, e, 5)
+    mate = mate_of(g, random_matching(g, random.Random(5)))
+    found = 0
+    for e in sorted(g.edges):
+        out = paths_through_edge(g, e, 5, mate=mate)
         assert out == sorted(out)
         assert len(out) == len(set(out))
         if out:
-            inter = list(iter_intersecting(g, out[0]))
+            found += 1
+            inter = list(iter_intersecting(g, out[0], mate=mate))
             assert len(inter) == len(set(inter))
+    assert found > 0

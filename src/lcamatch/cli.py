@@ -39,7 +39,6 @@ import argparse
 import json
 import os
 import random
-import statistics
 import sys
 from typing import Iterator
 
@@ -159,6 +158,8 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import statistics  # bench only: query and materialize start without it
+
     for flag, value in (("--trials", args.trials), ("--queries", args.queries)):
         if value < 0:
             raise ValueError(f"{flag} must not be negative, got {value}")

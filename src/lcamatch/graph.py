@@ -11,8 +11,9 @@ from __future__ import annotations
 import operator
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
+
+from ._record import Record
 
 __all__ = [
     "Graph",
@@ -50,8 +51,7 @@ def _vertex_id(v: int) -> int:
         raise ValueError(f"vertex id must be an integer, got {v!r}") from None
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record, frozen=True):
     """Immutable bounded-degree graph.
 
     Attributes
@@ -68,10 +68,13 @@ class Graph:
         Frozenset of canonical ``(u, v)`` pairs with ``u < v``.
     """
 
+    __slots__ = ("vertex_count", "degree_bound", "adjacency", "edges")
+    _hidden = ("edges",)
+
     vertex_count: int
     degree_bound: int
     adjacency: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]] = field(repr=False)
+    edges: frozenset[tuple[int, int]]
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -49,13 +49,9 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .graph import Graph, mk_edge
-# Not used by the engine: the benchmark's layer tracer (perfbench/layertrace.py)
-# looks these two names up on this module.  The line goes when ROADMAP item 1
-# drops their two metrics, which read 0.
-from .oracles import greedy_mis, intersection_edges  # noqa: F401
 from .ordering import Rank, SeedSet, init_seeds, rank
 from .paths import Mate, PathKey, iter_intersecting, paths_through_edge
 
@@ -73,8 +69,7 @@ class BudgetExceededError(RuntimeError):
     """A query hit its augmenting-check budget and refused to answer."""
 
 
-@dataclass
-class Stats:
+class Stats(Record):
     """Counters for one top-level query.
 
     ``f`` counts augmenting-path checks (the budgeted unit of work), made
@@ -87,10 +82,25 @@ class Stats:
     decision scanned.
     """
 
-    f: int = 0
-    f_by_phase: dict[int, int] = field(default_factory=dict)
-    relevant_set_sizes: list[int] = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("f", "f_by_phase", "relevant_set_sizes", "wall_time")
+    _defaults = {"f": int, "f_by_phase": dict, "relevant_set_sizes": list, "wall_time": float}
+
+    f: int
+    f_by_phase: dict[int, int]
+    relevant_set_sizes: list[int]
+    wall_time: float
+
+
+def __getattr__(name: str):
+    # The engine calls neither: perfbench/layertrace.py looks these two
+    # oracle names up here, and resolving them on demand keeps the oracles
+    # out of `import lcamatch`.  Goes when ROADMAP item 1b drops their
+    # metrics, which read 0.
+    if name in ("greedy_mis", "intersection_edges"):
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _k_from_eps(eps: float, k_max: int) -> int:
@@ -221,15 +231,15 @@ class Engine:
     # -- validation -------------------------------------------------------
 
     def _check_edge(self, edge: tuple[int, int]) -> tuple[int, int]:
-        # operator.index lets numpy ints through but not floats, which the
-        # edge set would match (0.0 == 0) and adjacency could not index.
+        # has_edge refuses non-integer ids (graph._vertex_id says why).
         try:
-            u, v = map(operator.index, edge)
-        except TypeError:
+            u, v = edge
+            found = self.graph.has_edge(u, v)
+        except (TypeError, ValueError):
             raise ValueError(f"edge must be a pair of integers, got {edge!r}") from None
-        if not self.graph.has_edge(u, v):
+        if not found:
             raise ValueError(f"edge ({u}, {v}) not in graph")
-        return mk_edge(u, v)
+        return mk_edge(operator.index(u), operator.index(v))
 
     # -- budgeted recursion ------------------------------------------------
 

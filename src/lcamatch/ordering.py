@@ -21,14 +21,13 @@ polynomials are never evaluated.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import zlib
-from dataclasses import dataclass, field
 from functools import total_ordering
+from itertools import islice, repeat
 from typing import Iterable
 
+from ._record import Record
 from .paths import PathKey
 
 __all__ = [
@@ -120,25 +119,28 @@ def _into_field(x: int, modulus: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record, frozen=True):
     """Per-phase seed for the polynomial ordering.
 
     ``copies`` holds one coefficient vector per output bit, each of length
     ``kappa``, coefficients in ascending power order.
     """
 
+    __slots__ = ("base", "length", "modulus", "copies")
+    _hidden = ("copies",)
+
     base: int
     length: int
     modulus: int
-    copies: tuple[tuple[int, ...], ...] = field(repr=False)
+    copies: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.copies:
+    def __init__(self, base: int, length: int, modulus: int, copies: tuple) -> None:
+        if not copies:
             raise ValueError("seed needs at least one polynomial copy")
-        widths = {len(c) for c in self.copies}
+        widths = {len(c) for c in copies}
         if len(widths) != 1:
             raise ValueError("all polynomial copies must share one degree")
+        super().__init__(base, length, modulus, copies)
 
     @property
     def kappa(self) -> int:
@@ -160,9 +162,10 @@ class Seed:
         return bits
 
 
-@dataclass(eq=True)
-class SeedSet:
+class SeedSet(Record):
     """Seeds for every odd phase ``1, 3, ..., 2k - 1`` of one engine run."""
+
+    __slots__ = ("k", "n", "phases")
 
     k: int
     n: int
@@ -194,14 +197,15 @@ def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
         raise ValueError(f"k must be at least 1, got {k}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    rng = random.Random(rng_seed)
+    draw = random.Random(rng_seed).getrandbits
     phases: dict[int, Seed] = {}
     for ell in range(1, 2 * k, 2):
         modulus, copy_count, kappa = _phase_shape(n, ell)
-        copies = tuple(
-            tuple(rng.randrange(modulus) for _ in range(kappa))
-            for _ in range(copy_count)
-        )
+        # randrange(modulus)'s own loop without its per-call overhead: draw
+        # modulus.bit_length() bits until the value is below modulus.
+        draws = map(draw, repeat(modulus.bit_length()))
+        coeffs = list(islice(filter(modulus.__gt__, draws), copy_count * kappa))
+        copies = tuple(tuple(coeffs[i : i + kappa]) for i in range(0, len(coeffs), kappa))
         phases[ell] = Seed(n, ell, modulus, copies)
     return SeedSet(k, n, phases)
 
@@ -300,6 +304,9 @@ _BLOB_MAX_INFLATION = 16
 
 def seedset_to_blob(seeds: SeedSet) -> str:
     """Hex blob carrying the full seed material for replayable runs."""
+    import json  # blob functions only: no query loads json or zlib
+    import zlib
+
     phases = {
         str(ell): {
             "base": s.base,
@@ -355,6 +362,8 @@ def _inflate_hex(pieces: Iterable[str]) -> bytes:
     # fails at its first piece and output never passes the inflation cap of
     # the bytes read so far.  A piece may end between the two digits of a
     # byte; that digit waits for the next piece.
+    import zlib
+
     inflater = zlib.decompressobj()
     out: list[bytes] = []
     read = produced = 0
@@ -387,6 +396,9 @@ def seedset_from_blob(blob: str | Iterable[str]) -> SeedSet:
     ``blob`` is the hex text, or its pieces in order (say, chunks of a file),
     which are inflated as they arrive.  Whitespace is ignored.
     """
+    import json
+    import zlib
+
     try:
         payload = json.loads(_inflate_hex((blob,) if isinstance(blob, str) else blob))
     except (ValueError, zlib.error) as exc:

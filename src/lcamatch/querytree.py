@@ -16,10 +16,10 @@ acceptance 7 checks it at two graph sizes.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
+
+from ._record import Record
 
 __all__ = ["TailEstimate", "tail_ccdf"]
 
@@ -27,13 +27,14 @@ __all__ = ["TailEstimate", "tail_ccdf"]
 _FIT_FLOOR_COUNT = 10
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Record, frozen=True):
     """Empirical ``Pr[size >= N]`` for N in 1..max size, plus a log-linear fit.
 
     ``slope``, ``intercept`` and ``r_squared`` are None when fewer than two
     points are carried by at least 10 samples.
     """
+
+    __slots__ = ("samples", "points", "slope", "intercept", "r_squared")
 
     samples: int
     points: tuple[tuple[int, float], ...]
@@ -47,6 +48,8 @@ def tail_ccdf(sizes: Sequence[int]) -> TailEstimate:
 
     Only points with at least 10 samples at or above them enter the fit.
     """
+    import statistics  # only the fit uses it; keeps it out of `import lcamatch`
+
     if any(s < 0 for s in sizes):
         raise ValueError("sizes must not be negative")
     samples = len(sizes)

@@ -369,6 +369,27 @@ def test_import_and_querytree_load_no_numpy():
     assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_import_loads_only_what_a_query_runs():
+    # Cold start: none of these may join the modules a bare interpreter has
+    # loaded.  The oracles load on demand, and so do statistics (bench) and
+    # json (seed blobs); `lcamatch query` itself starts without statistics.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import lcamatch; print(' '.join(sorted(set(sys.modules) - before))); "
+        "import lcamatch.cli; print('statistics' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added, cli_statistics = proc.stdout.strip().splitlines()[-2:]
+    added = set(added.split())
+    assert "lcamatch.lca" in added
+    assert not added & {"dataclasses", "inspect", "statistics", "json", "lcamatch.oracles"}
+    assert cli_statistics == "False"
+
+
 def test_readme_cli_block_parses():
     # Every command line the README shows must still parse: a doc naming a
     # deleted command or flag fails here.  Nothing is run.

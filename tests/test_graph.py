@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -134,6 +136,21 @@ def test_vertex_ids_must_be_integers():
             call()
     assert g.neighbors(np.int64(0)) == g.neighbors(0)
     assert g.has_edge(np.int64(0), np.int64(34))
+
+
+def test_graph_is_a_frozen_hashable_record():
+    g = gen_random_bounded(16, 3, 1)
+    twin = Graph.from_edges(16, 3, reversed(g.sorted_edges()))
+    assert twin is not g and twin == g and hash(twin) == hash(g)
+    assert Graph.from_edges(16, 3, g.sorted_edges()[1:]) != g
+    assert Graph.from_edges(17, 3, g.sorted_edges()) != g
+    with pytest.raises(AttributeError):
+        g.vertex_count = 17
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert g.vertex_count == 16 and g.edge_count == twin.edge_count
+    # Copies and pickles are rebuilt through the constructor.
+    assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
 
 
 def test_mk_edge_orders_endpoints():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lcamatch.lca as lca
 import lcamatch.oracles as oracles
 from lcamatch.graph import Graph, gen_random_bounded
-from lcamatch.lca import BudgetExceededError, Engine
+from lcamatch.lca import BudgetExceededError, Engine, Stats
 from lcamatch.ordering import init_seeds, rank
 from lcamatch.oracles import (
     abstract_distributed_mm,
@@ -305,6 +305,17 @@ def test_engine_validation():
         eng.is_in_matching((0, 1), 2)
     with pytest.raises(ValueError, match="odd"):
         eng.is_in_matching((0, 1), 5)
+
+
+def test_stats_records_share_no_containers():
+    a, b = Stats(), Stats()
+    assert a == b == Stats(0, {}, [], 0.0)
+    assert a.f_by_phase is not b.f_by_phase
+    assert a.relevant_set_sizes is not b.relevant_set_sizes
+    a.f_by_phase[1] = 3
+    a.relevant_set_sizes.append(2)
+    assert b == Stats() != a
+    assert Stats(f_by_phase={1: 3}, relevant_set_sizes=[2]) == a
 
 
 def test_malformed_edge_and_phase_raise_value_error():

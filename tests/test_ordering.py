@@ -13,6 +13,7 @@ from lcamatch.graph import gen_random_bounded
 from lcamatch.ordering import (
     _next_prime,
     Seed,
+    SeedSet,
     encode_path,
     eval_poly,
     init_seeds,
@@ -47,6 +48,46 @@ def test_init_seeds_deterministic():
     assert a == b
     c = init_seeds(2, 12, 100)
     assert c != a
+
+
+@pytest.mark.parametrize(
+    "k, n, rng_seed",
+    # n=4 and n=16 give moduli 17, 257 and 65537, each just above a power of
+    # two, where draws are rejected nearly half the time; n=4096 reaches the
+    # 2^61 - 1 fallback.
+    [(1, 2, 0), (2, 4, 3), (3, 16, 5), (2, 50, 1), (3, 4096, 0)],
+)
+def test_init_seeds_draws_like_randrange(k, n, rng_seed):
+    ss = init_seeds(k, n, rng_seed)
+    ref = random.Random(rng_seed)
+    for ell in range(1, 2 * k, 2):
+        s = ss.phase(ell)
+        assert s.copies == tuple(
+            tuple(ref.randrange(s.modulus) for _ in range(s.kappa))
+            for _ in range(s.bit_width)
+        )
+    assert seedset_from_blob(seedset_to_blob(ss)) == ss
+
+
+def test_seed_and_seed_set_are_records():
+    s = init_seeds(1, 8, 3).phase(1)
+    twin = Seed(base=s.base, length=s.length, modulus=s.modulus, copies=s.copies)
+    assert twin == s and hash(twin) == hash(s)
+    assert Seed(s.base, s.length, s.modulus, s.copies[1:]) != s
+    with pytest.raises(AttributeError):
+        s.modulus = 7
+    with pytest.raises(AttributeError):
+        del s.copies
+    assert s.modulus == twin.modulus
+    with pytest.raises(ValueError, match="at least one"):
+        Seed(8, 1, 257, ())
+    with pytest.raises(ValueError, match="one degree"):
+        Seed(8, 1, 257, ((1, 2), (3,)))
+    # A seed set is mutable, so it compares by fields but does not hash.
+    ss = init_seeds(2, 8, 3)
+    assert SeedSet(2, 8, dict(ss.phases)) == ss != SeedSet(2, 8, {1: ss.phase(1)})
+    with pytest.raises(TypeError):
+        hash(ss)
 
 
 def test_seed_shape_matches_construction():

@@ -36,7 +36,6 @@ under the default budget: the matching does not depend on the budget.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -44,7 +43,6 @@ from typing import Iterator
 
 from .graph import GraphFormatError, gen_random_bounded, load_graph
 from .lca import DEFAULT_BUDGET, BudgetExceededError, Engine
-from .oracles import find_augmenting_path, verify_matching
 from .ordering import seedset_from_blob
 from .querytree import tail_ccdf
 
@@ -129,6 +127,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
+    import json  # materialize and bench only: query starts without them
+
+    from .oracles import find_augmenting_path, verify_matching
+
     g = _load_graph_file(args.graph)
     engine = _build_engine(args, g)
     matching = sorted(engine.materialize())
@@ -158,7 +160,10 @@ def cmd_materialize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import json
     import statistics  # bench only: query and materialize start without it
+
+    from .oracles import find_augmenting_path, verify_matching
 
     for flag, value in (("--trials", args.trials), ("--queries", args.queries)):
         if value < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterable, Iterator, TextIO
 
@@ -43,8 +44,8 @@ def mk_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def _vertex_id(v: int) -> int:
-    # operator.index lets numpy ints through but not floats, which the edge
-    # set would match (0.0 == 0) and adjacency could not index.
+    # operator.index lets numpy ints through but not floats, which a
+    # neighbour search would match (0.0 == 0) and adjacency could not index.
     try:
         return operator.index(v)
     except TypeError:
@@ -63,18 +64,18 @@ class Graph(Record, frozen=True):
     adjacency:
         Sorted neighbor tuples of vertices ``0`` up to the highest one with an
         edge; the vertices above it are isolated.  :meth:`neighbors` covers
-        every vertex.
-    edges:
-        Frozenset of canonical ``(u, v)`` pairs with ``u < v``.
+        every vertex.  The graph's only edge store: :meth:`has_edge` and
+        :meth:`sorted_edges` read it.
+    edge_count:
+        Number of edges.
     """
 
-    __slots__ = ("vertex_count", "degree_bound", "adjacency", "edges")
-    _hidden = ("edges",)
+    __slots__ = ("vertex_count", "degree_bound", "adjacency", "edge_count")
 
     vertex_count: int
     degree_bound: int
     adjacency: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
+    edge_count: int
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -92,6 +93,10 @@ class Graph(Record, frozen=True):
         # edges read, not the declared vertex count.
         nbrs: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                # Floats would pass the range check (0.0 < 1) and bools are
+                # ints; store plain ints or refuse.
+                u, v = _vertex_id(u), _vertex_id(v)
             if u == v:
                 raise ValueError(f"self loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -107,9 +112,8 @@ class Graph(Record, frozen=True):
             if len(a) > d or len(b) > d:
                 x = u if len(a) > d else v
                 raise ValueError(f"vertex {x} has degree {len(nbrs[x])}, exceeds bound {d}")
-        # Freeze the edge set first and drop its build copy, so the two sets
-        # and the adjacency tuples are never all alive at once.
-        edge_set = frozenset(seen)
+        # The set served the duplicate check only; free it before the tuples.
+        m = len(seen)
         del seen
         for a in nbrs.values():
             a.sort()
@@ -119,11 +123,7 @@ class Graph(Record, frozen=True):
         # exists, so the two never all coexist.
         pop = nbrs.pop
         adjacency = tuple(tuple(pop(x, ())) for x in range(max(nbrs, default=-1) + 1))
-        return Graph(n, d, adjacency, edge_set)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+        return Graph(n, d, adjacency, m)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``; raises for non-integer or out-of-range ids."""
@@ -134,13 +134,23 @@ class Graph(Record, frozen=True):
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff ``(u, v)`` is an edge; raises for non-integer ids."""
-        return mk_edge(_vertex_id(u), _vertex_id(v)) in self.edges
+        if type(u) is not int or type(v) is not int:
+            u, v = _vertex_id(u), _vertex_id(v)
+        if u > v:
+            u, v = v, u
+        adjacency = self.adjacency
+        if not (0 <= u < len(adjacency)):  # never index from the end
+            return False
+        a = adjacency[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Canonical ``(u, v)`` pairs, ``u < v``, in ascending order."""
+        return [(u, v) for u, a in enumerate(self.adjacency) for v in a if u < v]
 
 
 def load_graph(stream: TextIO) -> Graph:

@@ -87,7 +87,7 @@ def max_matching_bruteforce(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
         memo[edges] = best
         return best
 
-    return solve(g.edges)
+    return solve(frozenset(g.sorted_edges()))
 
 
 def _require_matching(g: Graph, matching) -> dict[int, int]:

@@ -24,7 +24,8 @@ def brute_paths_through_edge(g: Graph, e, length: int) -> list[PathKey]:
     ten vertices or so.  Returns sorted canonical keys.
     """
     e = mk_edge(*e)
-    adjacent = g.edges | {(b, a) for a, b in g.edges}
+    edges = g.sorted_edges()
+    adjacent = set(edges) | {(b, a) for a, b in edges}
     found = set()
     for seq in itertools.permutations(range(g.vertex_count), length + 1):
         pairs = list(zip(seq, seq[1:]))

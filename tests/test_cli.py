@@ -372,22 +372,21 @@ def test_import_and_querytree_load_no_numpy():
 def test_import_loads_only_what_a_query_runs():
     # Cold start: none of these may join the modules a bare interpreter has
     # loaded.  The oracles load on demand, and so do statistics (bench) and
-    # json (seed blobs); `lcamatch query` itself starts without statistics.
+    # json (seed blobs, materialize and bench output); `lcamatch query`
+    # itself starts without any of them.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
         "import lcamatch; print(' '.join(sorted(set(sys.modules) - before))); "
-        "import lcamatch.cli; print('statistics' in sys.modules)"
+        "import lcamatch.cli; print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(src)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    added, cli_statistics = proc.stdout.strip().splitlines()[-2:]
-    added = set(added.split())
-    assert "lcamatch.lca" in added
-    assert not added & {"dataclasses", "inspect", "statistics", "json", "lcamatch.oracles"}
-    assert cli_statistics == "False"
+    added, cli_added = (set(line.split()) for line in proc.stdout.strip().splitlines()[-2:])
+    assert "lcamatch.lca" in added and added <= cli_added
+    assert not cli_added & {"dataclasses", "inspect", "statistics", "json", "lcamatch.oracles"}
 
 
 def test_readme_cli_block_parses():

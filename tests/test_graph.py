@@ -121,7 +121,7 @@ def test_neighbors_out_of_range():
 
 
 def test_vertex_ids_must_be_integers():
-    # A float equal to an id would match the edge set (0.0 == 0) but cannot
+    # A float equal to an id would match a neighbour (0.0 == 0) but cannot
     # index adjacency; numpy integers are ids.
     g = gen_random_bounded(64, 3, 1)
     assert g.has_edge(0, 34)
@@ -138,6 +138,54 @@ def test_vertex_ids_must_be_integers():
     assert g.has_edge(np.int64(0), np.int64(34))
 
 
+def test_from_edges_takes_only_integer_ids():
+    # A float passes the range check (0.0 < 4) and a bool is an int: both
+    # would reach adjacency unless from_edges normalises every id.
+    for bad in ((0.0, 1), ("a", 1), (1, 2.0)):
+        with pytest.raises(ValueError, match="integer"):
+            Graph.from_edges(4, 2, [bad, (2, 3)])
+    g = Graph.from_edges(4, 2, [(True, 2), (np.int64(2), np.int32(3))])
+    assert g == Graph.from_edges(4, 2, [(1, 2), (2, 3)])
+    assert all(type(x) is int for a in g.adjacency for x in a)
+    m = Engine(g, k=2).materialize()  # refused a stored 0.0 before
+    assert len(m) == 1 and m <= {(1, 2), (2, 3)}
+
+
+def _isolated_top() -> Graph:
+    # Vertices 5..9 are isolated and above every vertex with an edge, so
+    # adjacency stops at 4; vertex 2 is isolated below it.
+    return Graph.from_edges(10, 3, [(0, 1), (0, 4), (3, 4), (1, 3)])
+
+
+@pytest.mark.parametrize("g", [
+    gen_random_bounded(12, 3, 1),
+    gen_random_bounded(40, 4, 7),
+    gen_random_bounded(30, 1, 2),
+    Graph.from_edges(6, 2, []),
+    _isolated_top(),
+], ids=["n12d3", "n40d4", "n30d1", "empty", "isolated-top"])
+def test_adjacency_is_the_one_edge_store(g):
+    edges = g.sorted_edges()
+    assert len(edges) == g.edge_count
+    assert all(u < v for u, v in edges)
+    assert all(a < b for a, b in zip(edges, edges[1:]))  # strictly increasing
+    assert edges == sorted(
+        (u, w) for u in range(g.vertex_count) for w in g.neighbors(u) if u < w
+    )
+    present = set(edges)
+    n = g.vertex_count
+    # Ids out of range, negative ones included, are never edges: a negative
+    # id must not index adjacency from its end.
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in present)
+    for bad in (0.5, "0", None):
+        with pytest.raises(ValueError, match="integer"):
+            g.has_edge(bad, 0)
+        with pytest.raises(ValueError, match="integer"):
+            g.has_edge(0, bad)
+
+
 def test_graph_is_a_frozen_hashable_record():
     g = gen_random_bounded(16, 3, 1)
     twin = Graph.from_edges(16, 3, reversed(g.sorted_edges()))
@@ -147,7 +195,7 @@ def test_graph_is_a_frozen_hashable_record():
     with pytest.raises(AttributeError):
         g.vertex_count = 17
     with pytest.raises(AttributeError):
-        del g.edges
+        del g.edge_count
     assert g.vertex_count == 16 and g.edge_count == twin.edge_count
     # Copies and pickles are rebuilt through the constructor.
     assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
@@ -163,7 +211,7 @@ def test_generator_n2_d1_single_edge():
     # output vanishingly unlikely
     for seed in range(10):
         g = gen_random_bounded(2, 1, seed)
-        assert g.edges == frozenset({(0, 1)})
+        assert g.sorted_edges() == [(0, 1)]
 
 
 def test_generator_respects_degree_bound():
@@ -194,7 +242,7 @@ def test_generator_graphs_well_formed(n, d, seed):
         assert g.degree(v) <= d
         for w in g.neighbors(v):
             assert v in g.neighbors(w)
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         assert u < v
         assert v < n
 
@@ -215,5 +263,5 @@ def test_load_sizes_storage_by_edges_read():
         assert peak < 2**20
         eng = Engine(g, eps=0.5)
         m = eng.materialize()
-        assert m == g.edges
+        assert m == frozenset(g.sorted_edges())
         assert find_augmenting_path(g, m, 2 * eng.k - 1) is None

@@ -1,6 +1,10 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import lcamatch.lca
+from lcamatch import Engine, gen_random_bounded
 
 
 def test_benchmark_smoke_run_passes():
@@ -13,3 +17,19 @@ def test_benchmark_smoke_run_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "smoke: ok"
+
+
+def test_names_perfbench_reads_by_lookup_exist():
+    # perfbench reads the memo sizes through getattr(eng, name, ()) and wraps
+    # lca globals by name, so a rename would read 0 or fail only in a traced
+    # run; pin every name here.
+    eng = Engine(gen_random_bounded(64, 3, 1), k=3, rng_seed=1)
+    eng.materialize()
+    assert len(eng._memo) > 0  # lca.memo_entries
+    assert len(eng._ranks) > 0  # ordering.rank_cache_entries
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for name in layertrace.LAYERS:
+        assert callable(getattr(lcamatch.lca, name)), name

@@ -10,7 +10,6 @@ from .ordering import (
     seedset_from_blob,
     seedset_to_blob,
 )
-from .paths import PathKey
 from .querytree import TailEstimate, tail_ccdf
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "rank",
     "seedset_to_blob",
     "seedset_from_blob",
-    "PathKey",
     "TailEstimate",
     "tail_ccdf",
     "__version__",

@@ -43,13 +43,13 @@ def mk_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _vertex_id(v: int) -> int:
+def _as_int(value: int, what: str = "vertex id") -> int:
     # operator.index lets numpy ints through but not floats, which a
     # neighbour search would match (0.0 == 0) and adjacency could not index.
     try:
-        return operator.index(v)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"vertex id must be an integer, got {v!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class Graph(Record, frozen=True):
@@ -84,6 +84,7 @@ class Graph(Record, frozen=True):
         Each edge is checked as it arrives, so an error names the first
         offending edge; :func:`load_graph` relies on this for line numbers.
         """
+        n, d = _as_int(n, "vertex count"), _as_int(d, "degree bound")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         if d < 0:
@@ -96,7 +97,7 @@ class Graph(Record, frozen=True):
             if type(u) is not int or type(v) is not int:
                 # Floats would pass the range check (0.0 < 1) and bools are
                 # ints; store plain ints or refuse.
-                u, v = _vertex_id(u), _vertex_id(v)
+                u, v = _as_int(u), _as_int(v)
             if u == v:
                 raise ValueError(f"self loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -127,7 +128,7 @@ class Graph(Record, frozen=True):
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of ``v``; raises for non-integer or out-of-range ids."""
-        v = _vertex_id(v)
+        v = _as_int(v)
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex {v} out of range for n={self.vertex_count}")
         return self.adjacency[v] if v < len(self.adjacency) else ()
@@ -135,7 +136,7 @@ class Graph(Record, frozen=True):
     def has_edge(self, u: int, v: int) -> bool:
         """True iff ``(u, v)`` is an edge; raises for non-integer ids."""
         if type(u) is not int or type(v) is not int:
-            u, v = _vertex_id(u), _vertex_id(v)
+            u, v = _as_int(u), _as_int(v)
         if u > v:
             u, v = v, u
         adjacency = self.adjacency

@@ -39,6 +39,10 @@ phase 1 one for the edge plus one per adjacent edge.  A query that would
 exceed the budget raises :class:`BudgetExceededError` rather than returning
 a guess, so answers are never wrong, merely refused.
 
+A path is the plain canonical tuple of its vertices (see
+:mod:`lcamatch.paths`).  Its length is its phase, so the tuple alone keys
+its rank and its greedy decision.
+
 Memo lifetimes: with ``cache_mode="per_query"`` each public call starts with
 empty decision memos; the path ranks and the phase-1 lists of lower
 neighbours are kept, since neither depends on an earlier decision.
@@ -51,9 +55,9 @@ import operator
 import time
 
 from ._record import Record
-from .graph import Graph, mk_edge
+from .graph import Graph, _as_int, mk_edge
 from .ordering import Rank, SeedSet, init_seeds, rank
-from .paths import Mate, PathKey, iter_intersecting, paths_through_edge
+from .paths import Mate, iter_intersecting, paths_through_edge
 
 __all__ = [
     "Engine",
@@ -160,6 +164,7 @@ class Engine:
         k_max = max(1, (min(graph.vertex_count - 1, graph.edge_count) + 1) // 2)
         if k is None:
             k = _k_from_eps(eps, k_max)  # type: ignore[arg-type]
+        k, budget = _as_int(k, "k"), _as_int(budget, "budget")
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         k = min(k, k_max)
@@ -188,10 +193,13 @@ class Engine:
         self.last_stats: Stats | None = None
         # per_query clears _memo (phases 3 and up) and _mis1 (phase 1) only;
         # _ranks and _lower depend on nothing but the graph and the seeds.
+        # _memo holds three kinds of decision, told apart by key shape: edge
+        # membership under ((u, v), ell), a vertex's partner under (v, ell),
+        # and a path's greedy pick under the path itself, at least 4 ints.
         self._memo: dict[tuple, bool | int] = {}
         self._mis1: dict[tuple[int, int], bool] = {}
-        self._ranks: dict[PathKey, Rank] = {}
-        self._lower: dict[tuple[int, int], tuple[PathKey, ...]] = {}
+        self._ranks: dict[tuple[int, ...], Rank] = {}
+        self._lower: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._stats = Stats()
 
     # -- public query surface -------------------------------------------
@@ -217,10 +225,7 @@ class Engine:
         no edge at ``v`` is in.
         """
         e = self._check_edge(edge)
-        try:
-            ell = operator.index(ell)
-        except TypeError:
-            raise ValueError(f"phase length must be an integer, got {ell!r}") from None
+        ell = _as_int(ell, "phase length")
         if ell != -1 and ell not in range(1, 2 * self.k, 2):
             raise ValueError(
                 f"phase length must be -1, or odd and within 1..{2 * self.k - 1}, "
@@ -231,7 +236,7 @@ class Engine:
     # -- validation -------------------------------------------------------
 
     def _check_edge(self, edge: tuple[int, int]) -> tuple[int, int]:
-        # has_edge refuses non-integer ids (graph._vertex_id says why).
+        # has_edge refuses non-integer ids (graph._as_int says why).
         try:
             u, v = edge
             found = self.graph.has_edge(u, v)
@@ -261,7 +266,7 @@ class Engine:
             return self._edge_in_mis(e)
         if ell == -1:
             return False
-        key = ("m", e, ell)
+        key = (e, ell)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -287,11 +292,11 @@ class Engine:
         partner = self._partner
         return lambda x: partner(x, below)
 
-    def _rank(self, p: PathKey) -> Rank:
+    def _rank(self, p: tuple[int, ...]) -> Rank:
         # A path's length is its phase, so the path alone keys the cache.
         t = self._ranks.get(p)
         if t is None:
-            t = rank(p, self.seeds.phases[p.length])
+            t = rank(p, self.seeds.phases[len(p) - 1])
             self._ranks[p] = t
         return t
 
@@ -308,14 +313,14 @@ class Engine:
         lower = self._lower.get(e)
         if lower is None:
             rank_of = self._rank
-            e_rank = rank_of(PathKey(e))
+            e_rank = rank_of(e)
             ranks = [
-                rank_of(PathKey(mk_edge(a, w)))
+                rank_of(mk_edge(a, w))
                 for a, b in ((u, v), (v, u))
                 for w in adj[a]
                 if w != b
             ]
-            # r.path is the PathKey _ranks already holds, not a fresh copy.
+            # r.path is the tuple _ranks already holds, not a fresh copy.
             lower = tuple(r.path for r in sorted(r for r in ranks if r < e_rank))
             self._lower[e_rank.path] = lower
         res = True
@@ -329,9 +334,9 @@ class Engine:
         self._mis1[e] = res
         return res
 
-    def _path_in_mis(self, p: PathKey, ell: int) -> bool:
-        key = ("i", p, ell)
-        cached = self._memo.get(key)
+    def _path_in_mis(self, p: tuple[int, ...], ell: int) -> bool:
+        # p's length is ell, so p alone keys the decision.
+        cached = self._memo.get(p)
         if cached is not None:
             return cached
         res = self._augmenting(p, ell)
@@ -353,10 +358,10 @@ class Engine:
                     res = False
                     break
             self._stats.relevant_set_sizes.append(1 + scanned)
-        self._memo[key] = res
+        self._memo[p] = res
         return res
 
-    def _augmenting(self, p: PathKey, ell: int) -> bool:
+    def _augmenting(self, p: tuple[int, ...], ell: int) -> bool:
         # p alternates: every path reaching here came from an enumerator
         # under _alternating(ell).  So only its two ends are left to check.
         self._charge(ell, 1)
@@ -377,7 +382,7 @@ class Engine:
     def _partner(self, v: int, ell: int) -> int:
         # The first neighbour u, in adjacency order, with (v, u) in the
         # matching after phase ell, or -1.  A matching has at most one.
-        key = ("p", v, ell)
+        key = (v, ell)
         cached = self._memo.get(key)
         if cached is not None:
             return cached

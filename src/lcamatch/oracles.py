@@ -18,7 +18,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .graph import Graph, mk_edge
 from .ordering import SeedSet, primary_rank
-from .paths import PathKey
 
 __all__ = [
     "SizeLimitError",
@@ -100,8 +99,13 @@ def _require_matching(g: Graph, matching) -> dict[int, int]:
     return partner
 
 
-def _key(seq: tuple[int, ...]) -> PathKey:
-    return PathKey(min(seq, seq[::-1]))
+def _key(seq: tuple[int, ...]) -> tuple[int, ...]:
+    return min(seq, seq[::-1])
+
+
+def _edges(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges of ``p`` in traversal order, each as a canonical pair."""
+    return [mk_edge(u, v) for u, v in zip(p, p[1:])]
 
 
 def _augmenting_walks(
@@ -143,7 +147,7 @@ def _augmenting_walks(
 
 def find_augmenting_path(
     g: Graph, matching: frozenset[tuple[int, int]] | set[tuple[int, int]], max_len: int
-) -> PathKey | None:
+) -> tuple[int, ...] | None:
     """Some augmenting path of at most ``max_len`` edges, or None.
 
     The first path the alternating search from the free vertices meets, in
@@ -158,7 +162,7 @@ def find_augmenting_path(
     return None
 
 
-def is_augmenting_for(g: Graph, p: PathKey, matching) -> bool:
+def is_augmenting_for(g: Graph, p: tuple[int, ...], matching) -> bool:
     """Static augmenting check of ``p`` against an explicit matching.
 
     Odd-numbered edges (1-based along the traversal) must be outside the
@@ -166,14 +170,14 @@ def is_augmenting_for(g: Graph, p: PathKey, matching) -> bool:
     parity makes the pattern independent of traversal direction.
     """
     mset = {mk_edge(u, v) for u, v in matching}
-    for i, e in enumerate(p.edge_seq(), start=1):
+    for i, e in enumerate(_edges(p), start=1):
         if (e in mset) != (i % 2 == 0):
             return False
     covered = {v for e in mset for v in e}
     return p[0] not in covered and p[-1] not in covered
 
 
-def augmenting_paths(g: Graph, matching, ell: int) -> frozenset[PathKey]:
+def augmenting_paths(g: Graph, matching, ell: int) -> frozenset[tuple[int, ...]]:
     """All augmenting paths of exactly ``ell`` edges for an explicit matching."""
     if ell < 1 or ell % 2 == 0:
         raise ValueError(f"phase length must be odd and positive, got {ell}")
@@ -183,13 +187,15 @@ def augmenting_paths(g: Graph, matching, ell: int) -> frozenset[PathKey]:
     )
 
 
-def intersection_edges(nodes: Iterable[PathKey]) -> frozenset[tuple[PathKey, PathKey]]:
+def intersection_edges(
+    nodes: Iterable[tuple[int, ...]],
+) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All vertex-sharing pairs among ``nodes``, as ordered key pairs."""
-    by_vertex: dict[int, list[PathKey]] = {}
+    by_vertex: dict[int, list[tuple[int, ...]]] = {}
     for p in nodes:
         for v in p:
             by_vertex.setdefault(v, []).append(p)
-    out: set[tuple[PathKey, PathKey]] = set()
+    out: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for bucket in by_vertex.values():
         if len(bucket) < 2:
             continue
@@ -200,7 +206,9 @@ def intersection_edges(nodes: Iterable[PathKey]) -> frozenset[tuple[PathKey, Pat
     return frozenset(out)
 
 
-def greedy_mis(paths: Iterable[PathKey], key: Callable[[PathKey], Any]) -> set[PathKey]:
+def greedy_mis(
+    paths: Iterable[tuple[int, ...]], key: Callable[[tuple[int, ...]], Any]
+) -> set[tuple[int, ...]]:
     """Greedy maximal independent set of the paths' conflict graph.
 
     Paths are visited in ascending ``key``; a path is kept unless it shares a
@@ -208,7 +216,7 @@ def greedy_mis(paths: Iterable[PathKey], key: Callable[[PathKey], Any]) -> set[P
     and the order.
     """
     covered: set[int] = set()
-    chosen: set[PathKey] = set()
+    chosen: set[tuple[int, ...]] = set()
     for p in sorted(paths, key=key):
         if covered.isdisjoint(p):
             chosen.add(p)
@@ -238,6 +246,6 @@ def abstract_distributed_mm(
         )
         flipped: set[tuple[int, int]] = set()
         for p in chosen:
-            flipped.update(p.edge_seq())
+            flipped.update(_edges(p))
         matching = matching ^ flipped
     return matching

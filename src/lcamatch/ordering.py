@@ -8,27 +8,26 @@ independent degree-``(kappa - 1)`` polynomials over a prime field at ``x``
 and concatenate one low-order bit per polynomial into the primary rank.  Any
 ``kappa`` distinct evaluation points of one polynomial are jointly uniform
 over the field, which is what the query-locality analysis needs, and the bit
-width makes rank collisions rare; remaining ties are broken by canonical-key
-order, so the result is a strict total order.  The field, the copy count and
-``kappa`` depend only on ``n`` and the phase length, so a seed is fully
-described by its coefficients.
+width makes rank collisions rare; remaining ties are broken by comparing the
+canonical path tuples, so the result is a strict total order.  The field,
+the copy count and ``kappa`` depend only on ``n`` and the phase length, so a
+seed is fully described by its coefficients.
 
 :func:`rank` returns a :class:`Rank` key that evaluates the primary bits on
 demand, most significant first, and only as many as a comparison needs: two
 ranks almost always differ within their top few bits, so most of the
-polynomials are never evaluated.
+polynomials are never evaluated.  :func:`primary_rank` is the eager
+reference, evaluating every bit at once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import total_ordering
 from itertools import islice, repeat
 from typing import Iterable
 
 from ._record import Record
-from .paths import PathKey
 
 __all__ = [
     "Seed",
@@ -100,7 +99,7 @@ def eval_poly(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
     return acc
 
 
-def encode_path(p: PathKey, base: int) -> int:
+def encode_path(p: tuple[int, ...], base: int) -> int:
     """Injective integer id of a canonical path over vertex ids below ``base``."""
     x = 0
     for v in p:
@@ -154,13 +153,6 @@ class Seed(Record, frozen=True):
         """Bit ``j`` of the primary rank at field point ``x``: copy ``j``'s low bit."""
         return eval_poly(self.copies[j], x, self.modulus) & 1
 
-    def rank_of_encoding(self, x: int) -> int:
-        x = _into_field(x, self.modulus)
-        bits = 0
-        for j in range(self.bit_width):
-            bits |= self.bit(x, j) << j
-        return bits
-
 
 class SeedSet(Record):
     """Seeds for every odd phase ``1, 3, ..., 2k - 1`` of one engine run."""
@@ -210,34 +202,42 @@ def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
     return SeedSet(k, n, phases)
 
 
-def _check_length(p: PathKey, seed: Seed) -> None:
-    if p.length != seed.length:
+def _check_length(p: tuple[int, ...], seed: Seed) -> None:
+    if len(p) - 1 != seed.length:
         raise ValueError(
-            f"path has length {p.length}, seed is for length {seed.length}"
+            f"path has length {len(p) - 1}, seed is for length {seed.length}"
         )
 
 
-def primary_rank(p: PathKey, seed: Seed) -> int:
-    """Pseudorandom integer rank of one path, before tie-breaking."""
+def primary_rank(p: tuple[int, ...], seed: Seed) -> int:
+    """Pseudorandom integer rank of one path, before tie-breaking.
+
+    Bit ``j`` is ``seed.bit(x, j)`` at the path's field point ``x``.
+    """
     _check_length(p, seed)
-    return seed.rank_of_encoding(encode_path(p, seed.base))
+    x = _into_field(encode_path(p, seed.base), seed.modulus)
+    bits = 0
+    for j in range(seed.bit_width):
+        bits |= seed.bit(x, j) << j
+    return bits
 
 
-@total_ordering
 class Rank:
     """Order key of one path under one seed, evaluated lazily.
 
-    Keys order exactly like the tuples ``(primary_rank(p, seed), *p)``.
-    Construction only encodes the path into the field; ``bits`` holds the
-    top ``nbits`` primary bits evaluated so far, and a comparison extends
-    them one bit at a time, most significant (``copies[-1]``) first, until
-    the two keys differ.  Keys compare equal iff their paths are equal;
-    comparing keys of different seeds is a ValueError.
+    ``a < b`` holds exactly when ``(primary_rank(a.path, seed), *a.path)``
+    is below the same tuple of ``b``, so ``sorted`` orders keys like those
+    tuples.  Construction only encodes the path into the field; ``bits``
+    holds the top ``nbits`` primary bits evaluated so far, and a comparison
+    extends them one bit at a time, most significant (``copies[-1]``)
+    first, until the two keys differ.  ``<`` is the only comparison: callers
+    key their caches by the path itself.  Comparing keys of different seeds
+    is a ValueError.
     """
 
     __slots__ = ("path", "x", "seed", "bits", "nbits")
 
-    def __init__(self, p: PathKey, seed: Seed) -> None:
+    def __init__(self, p: tuple[int, ...], seed: Seed) -> None:
         _check_length(p, seed)
         self.path = p
         self.x = _into_field(encode_path(p, seed.base), seed.modulus)
@@ -255,14 +255,11 @@ class Rank:
             self.bits, self.nbits = bits, m
         return self.bits >> (self.nbits - m)
 
-    def _check_seed(self, other: Rank) -> None:
-        if other.seed is not self.seed and other.seed != self.seed:
-            raise ValueError("ranks under different seeds are not comparable")
-
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Rank):
             return NotImplemented
-        self._check_seed(other)
+        if other.seed is not self.seed and other.seed != self.seed:
+            raise ValueError("ranks under different seeds are not comparable")
         # Compare the prefixes both keys already hold, then extend both one
         # bit at a time: equal prefixes of length m - 1 make comparing the
         # length-m prefixes a compare of bit m.
@@ -277,18 +274,9 @@ class Rank:
             a, b = self._prefix(m), other._prefix(m)
         return a < b
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rank):
-            return NotImplemented
-        self._check_seed(other)
-        return self.path == other.path
 
-    def __hash__(self) -> int:
-        return hash(self.path)
-
-
-def rank(p: PathKey, seed: Seed) -> Rank:
-    """Totally ordered rank: primary bits first, canonical key as tie-break."""
+def rank(p: tuple[int, ...], seed: Seed) -> Rank:
+    """Totally ordered rank: primary bits first, the path tuple as tie-break."""
     return Rank(p, seed)
 
 

@@ -1,10 +1,11 @@
-"""Canonical simple-path identities and local path enumeration.
+"""Local enumeration of alternating simple paths.
 
-A path is identified by its vertex sequence; the canonical form is the
+A path is the plain tuple of its vertex ids in canonical form, the
 lexicographically smaller of the sequence and its reversal, so a path and
-its reverse traversal are one object.  All enumeration here is local: it
-never touches more of the graph than the neighborhood of the seed edge or
-path, which is what keeps the query engine sublinear.
+its reverse traversal are one object; its length is ``len(p) - 1`` edges.
+All enumeration here is local: it never touches more of the graph than the
+neighborhood of the seed edge or path, which is what keeps the query engine
+sublinear.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Iterator
 
 from .graph import Graph, mk_edge
 
-__all__ = ["PathKey", "paths_through_edge", "iter_intersecting", "Mate"]
+__all__ = ["paths_through_edge", "iter_intersecting", "Mate"]
 
 # ``mate(x)``: the partner of vertex ``x`` in a matching, or -1 if ``x`` is
 # free.  The enumerators below produce only odd-length paths alternating
@@ -23,26 +24,8 @@ __all__ = ["PathKey", "paths_through_edge", "iter_intersecting", "Mate"]
 Mate = Callable[[int], int]
 
 
-class PathKey(tuple):
-    """Canonical identity of a simple path: a tuple of vertex ids.
-
-    Instances are assumed canonical: not larger than their reversal.
-    """
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        """Number of edges."""
-        return len(self) - 1
-
-    def edge_seq(self) -> list[tuple[int, int]]:
-        """Edges in traversal order, each as a canonical pair."""
-        return [mk_edge(self[i], self[i + 1]) for i in range(len(self) - 1)]
-
-
 def _grow(
-    g: Graph, mate: Mate, path: list[int], steps: int, later: int, out: list[PathKey]
+    g: Graph, mate: Mate, path: list[int], steps: int, later: int, out: list[tuple[int, ...]]
 ) -> None:
     # Append `steps` edges after path[-1], then `later` before path[0] by
     # growing the reversed list, and emit each finished path.  The next edge
@@ -54,7 +37,7 @@ def _grow(
             _grow(g, mate, path[::-1], later, 0, out)
         else:
             seq = tuple(path)
-            out.append(PathKey(min(seq, seq[::-1])))
+            out.append(min(seq, seq[::-1]))
         return
     x = path[-1]
     m = mate(x)
@@ -78,7 +61,7 @@ def _check_length(length: int) -> None:
 
 def paths_through_edge(
     g: Graph, e: tuple[int, int], length: int, *, mate: Mate
-) -> list[PathKey]:
+) -> list[tuple[int, ...]]:
     """All simple paths of ``length`` edges through ``e`` alternating against ``mate``.
 
     ``length`` must be odd (see :data:`Mate`).  Enumerates each split of the
@@ -94,27 +77,30 @@ def paths_through_edge(
     e = mk_edge(operator.index(u), operator.index(v))
     # After f edges the seed edge sits at position f + 1, even iff matched.
     matched = mate(e[0]) == e[1]
-    out: list[PathKey] = []
+    out: list[tuple[int, ...]] = []
     for front_steps in range(matched, length, 2):
         _grow(g, mate, list(e), length - 1 - front_steps, front_steps, out)
     out.sort()
     return out
 
 
-def iter_intersecting(g: Graph, p: PathKey, *, mate: Mate) -> Iterator[PathKey]:
+def iter_intersecting(
+    g: Graph, p: tuple[int, ...], *, mate: Mate
+) -> Iterator[tuple[int, ...]]:
     """All other alternating paths of ``p``'s length that share a vertex with it.
 
     ``p``'s length must be odd (see :data:`Mate`).  The enumerator grows the
     paths through each vertex of ``p`` by local depth-first search and yields
     the union, minus ``p``, in no particular order.
     """
-    _check_length(p.length)
+    length = len(p) - 1
+    _check_length(length)
     # A path through v holds it f < length / 2 steps from exactly one end, so
     # growing f <= length // 2 steps before v reaches the path once.
-    out: list[PathKey] = []
+    out: list[tuple[int, ...]] = []
     for v in p:
-        for front_steps in range(p.length // 2 + 1):
-            _grow(g, mate, [v], p.length - front_steps, front_steps, out)
+        for front_steps in range(length // 2 + 1):
+            _grow(g, mate, [v], length - front_steps, front_steps, out)
     found = set(out)
     found.discard(p)
     return iter(found)

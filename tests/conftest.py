@@ -9,15 +9,15 @@ import numpy as np
 
 from lcamatch.graph import Graph, gen_random_bounded, mk_edge
 from lcamatch.ordering import Seed, encode_path
-from lcamatch.paths import PathKey
 
 
-def path_key(seq) -> PathKey:
+def path_key(seq) -> tuple[int, ...]:
     """Canonical key of a vertex sequence: the smaller of it and its reversal."""
-    return PathKey(min(seq, seq[::-1]))
+    seq = tuple(seq)
+    return min(seq, seq[::-1])
 
 
-def brute_paths_through_edge(g: Graph, e, length: int) -> list[PathKey]:
+def brute_paths_through_edge(g: Graph, e, length: int) -> list[tuple[int, ...]]:
     """Oracle: every injective vertex sequence of ``length`` edges through ``e``.
 
     Tries all ``length + 1``-permutations of the vertices, so keep ``g`` to
@@ -34,7 +34,7 @@ def brute_paths_through_edge(g: Graph, e, length: int) -> list[PathKey]:
     return sorted(found)
 
 
-def simple_paths(g: Graph, length: int) -> list[PathKey]:
+def simple_paths(g: Graph, length: int) -> list[tuple[int, ...]]:
     """Every simple path of ``length`` edges, sorted by canonical key.
 
     A plain depth-first search from every vertex, independent of
@@ -82,9 +82,14 @@ def mate_of(g: Graph, matching):
     return mate
 
 
-def alternates(p: PathKey, matching) -> bool:
+def path_edges(p) -> list[tuple[int, int]]:
+    """The edges of path ``p`` in traversal order, each as a canonical pair."""
+    return [mk_edge(u, v) for u, v in zip(p, p[1:])]
+
+
+def alternates(p, matching) -> bool:
     """True iff the ``i``-th edge of ``p`` (1-based) is matched iff ``i`` is even."""
-    return all((e in matching) == (i % 2 == 0) for i, e in enumerate(p.edge_seq(), 1))
+    return all((e in matching) == (i % 2 == 0) for i, e in enumerate(path_edges(p), 1))
 
 
 def make_graph(n: int, d: int, edges) -> Graph:

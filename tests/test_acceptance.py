@@ -106,7 +106,7 @@ def test_2_no_short_augmenting_path(capsys):
             witness = find_augmenting_path(g, m, horizon)
             assert witness is None, (
                 f"n={n} d={d} k={k}: augmenting path of length "
-                f"{witness.length} remained"
+                f"{len(witness) - 1} remained"
             )
             runs += 1
     elapsed = time.perf_counter() - start

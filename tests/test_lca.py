@@ -23,9 +23,15 @@ from lcamatch.oracles import (
     intersection_edges,
     verify_matching,
 )
-from lcamatch.paths import PathKey
 
-from conftest import cycle_graph, find_order_seed, path_graph, petersen_graph, simple_paths
+from conftest import (
+    cycle_graph,
+    find_order_seed,
+    path_edges,
+    path_graph,
+    petersen_graph,
+    simple_paths,
+)
 
 
 def materialize_phase(engine, ell):
@@ -68,15 +74,15 @@ def test_c3_k1_single_edge_matches_global_greedy():
         assert local == set(abstract_distributed_mm(g, 1, ss))
         # the chosen edge is the rank-minimal conflict node
         s = ss.phases[1]
-        best = min((PathKey(e) for e in g.sorted_edges()), key=lambda p: rank(p, s))
-        assert local == {tuple(best)}
+        best = min(g.sorted_edges(), key=lambda p: rank(p, s))
+        assert local == {best}
 
 
 def test_p4_flip_trace_with_rigged_seed():
     # an ordering that ranks the middle edge first makes phase 1 pick it,
     # then the full path augments it away at phase 3
     g = path_graph(4)
-    mid, left, right = PathKey((1, 2)), PathKey((0, 1)), PathKey((2, 3))
+    mid, left, right = (1, 2), (0, 1), (2, 3)
 
     def mid_first(seed_int):
         s = init_seeds(2, 4, seed_int).phases[1]
@@ -95,7 +101,7 @@ def test_path_in_mis_rank_chain_on_p5():
     # blocks (2,3) and (0,1); (3,4)'s only lower neighbour (2,3) is out,
     # so (3,4) is taken
     g = path_graph(5)
-    e01, e12, e23, e34 = (PathKey((i, i + 1)) for i in range(4))
+    e01, e12, e23, e34 = ((i, i + 1) for i in range(4))
 
     def wanted(seed_int):
         s = init_seeds(2, 5, seed_int).phases[1]
@@ -114,7 +120,7 @@ def test_path_in_mis_non_augmenting_root_is_out():
     # the alternation pattern at phase 3 and cannot be picked, so phase 3
     # flips nothing
     g = path_graph(4)
-    e01, e12, e23 = PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))
+    e01, e12, e23 = (0, 1), (1, 2), (2, 3)
 
     def middle_not_first(seed_int):
         s = init_seeds(2, 4, seed_int).phases[1]
@@ -126,7 +132,7 @@ def test_path_in_mis_non_augmenting_root_is_out():
 
 
 def test_greedy_mis_toy_orders():
-    a, b, c = PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))
+    a, b, c = (0, 1), (1, 2), (2, 3)
     assert greedy_mis({a, b, c}, {a: 1, b: 2, c: 3}.get) == {a, c}
     assert greedy_mis({a, b, c}, {a: 2, b: 1, c: 3}.get) == {b}
     assert greedy_mis(frozenset(), int) == set()
@@ -176,11 +182,11 @@ def test_path_in_mis_matches_global_for_every_path():
                 before = materialize_phase(eng, ell - 2)
                 after = materialize_phase(eng, ell)
                 assert before == matching
-                matching = matching ^ {e for p in chosen for e in p.edge_seq()}
+                matching = matching ^ {e for p in chosen for e in path_edges(p)}
                 assert after == matching
                 flipped = before ^ after
                 for p in sorted(every):
-                    assert all(e in flipped for e in p.edge_seq()) == (p in chosen)
+                    assert all(e in flipped for e in path_edges(p)) == (p in chosen)
 
 
 def test_query_answers_independent_of_cache_and_order():
@@ -305,6 +311,29 @@ def test_engine_validation():
         eng.is_in_matching((0, 1), 2)
     with pytest.raises(ValueError, match="odd"):
         eng.is_in_matching((0, 1), 5)
+
+
+def test_size_parameters_must_be_integers():
+    # A non-integer size fails where it is passed, not later inside the
+    # seed draw as a TypeError.
+    for n, d in ((5.5, 2), ("5", 2), (5, 2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Graph.from_edges(n, d, [(0, 1)])
+    g = path_graph(4)
+    bad = ({"k": 2.5}, {"k": "2"}, {"k": 1, "budget": "9"}, {"eps": 0.5, "budget": 9.0})
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="must be an integer"):
+            Engine(g, **kwargs)
+    assert Engine(g, k=np.int64(2), budget=np.int32(9)).k == 2
+
+
+def test_materialize_memo_sizes_are_pinned():
+    # One entry per decision: an edge's membership, a vertex's partner or a
+    # path's pick at phases 3 and up in _memo, a phase-1 edge in _mis1.  A
+    # key that lost its phase would merge decisions and move these counts.
+    eng = Engine(gen_random_bounded(2048, 3, 7), k=3, rng_seed=3)
+    eng.materialize()
+    assert (len(eng._memo), len(eng._mis1)) == (20_677, 3_047)
 
 
 def test_stats_records_share_no_containers():

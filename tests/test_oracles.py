@@ -15,7 +15,6 @@ from lcamatch.oracles import (
     max_matching_bruteforce,
     verify_matching,
 )
-from lcamatch.paths import PathKey
 
 from conftest import complete_graph, cycle_graph, path_graph, path_key, petersen_graph
 
@@ -59,7 +58,7 @@ def test_bruteforce_size_guard():
 def test_find_augmenting_path_empty_matching_returns_edge():
     g = path_graph(4)
     p = find_augmenting_path(g, set(), 1)
-    assert p is not None and p.length == 1
+    assert p is not None and len(p) == 2
     assert find_augmenting_path(Graph.from_edges(3, 2, []), set(), 3) is None
 
 
@@ -67,7 +66,7 @@ def test_find_augmenting_path_known_case():
     # P4 with only the middle edge matched: the whole path augments
     g = path_graph(4)
     p = find_augmenting_path(g, {(1, 2)}, 3)
-    assert p == PathKey((0, 1, 2, 3))
+    assert p == (0, 1, 2, 3)
     assert find_augmenting_path(g, {(1, 2)}, 1) is None
 
 
@@ -76,7 +75,7 @@ def test_find_augmenting_path_respects_max_len():
     m = {(1, 2), (3, 4)}
     assert find_augmenting_path(g, m, 3) is None
     p = find_augmenting_path(g, m, 5)
-    assert p == PathKey((0, 1, 2, 3, 4, 5))
+    assert p == (0, 1, 2, 3, 4, 5)
 
 
 def test_find_augmenting_path_rejects_non_matching():
@@ -108,10 +107,10 @@ def test_is_augmenting_for_patterns():
 def test_conflict_graph_p4_phase1_is_line_graph():
     g = path_graph(4)
     nodes = augmenting_paths(g, set(), 1)
-    assert nodes == {PathKey((0, 1)), PathKey((1, 2)), PathKey((2, 3))}
+    assert nodes == {(0, 1), (1, 2), (2, 3)}
     assert intersection_edges(nodes) == {
-        (PathKey((0, 1)), PathKey((1, 2))),
-        (PathKey((1, 2)), PathKey((2, 3))),
+        ((0, 1), (1, 2)),
+        ((1, 2), (2, 3)),
     }
 
 
@@ -125,7 +124,7 @@ def test_conflict_graph_c5_phase1():
 def test_conflict_graph_respects_matching():
     g = path_graph(4)
     nodes = augmenting_paths(g, {(1, 2)}, 3)
-    assert nodes == {PathKey((0, 1, 2, 3))}
+    assert nodes == {(0, 1, 2, 3)}
     assert intersection_edges(nodes) == frozenset()
     assert augmenting_paths(g, {(1, 2)}, 1) == frozenset()
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcamatch.graph import gen_random_bounded
-from lcamatch.paths import PathKey, iter_intersecting, paths_through_edge
+from lcamatch.paths import iter_intersecting, paths_through_edge
 
 from conftest import (
     alternates,
@@ -15,6 +15,7 @@ from conftest import (
     cycle_graph,
     make_graph,
     mate_of,
+    path_edges,
     path_graph,
     path_key,
     petersen_graph,
@@ -28,15 +29,9 @@ def free(x):
     return -1
 
 
-def test_pathkey_accessors():
-    p = PathKey((0, 1, 2, 3))
-    assert p.length == 3
-    assert p.edge_seq() == [(0, 1), (1, 2), (2, 3)]
-
-
 def test_single_edge_path():
     g = path_graph(4)
-    assert paths_through_edge(g, (2, 1), 1, mate=free) == [PathKey((1, 2))]
+    assert paths_through_edge(g, (2, 1), 1, mate=free) == [(1, 2)]
     # A matched edge is no alternating path of length 1.
     assert paths_through_edge(g, (2, 1), 1, mate=mate_of(g, {(1, 2)})) == []
 
@@ -47,7 +42,7 @@ def test_c5_paths_through_edge_length3():
     g = cycle_graph(5)
     mate = mate_of(g, {(0, 1)})
     expected = [path_key([4, 0, 1, 2])]
-    for e in expected[0].edge_seq():
+    for e in path_edges(expected[0]):
         assert paths_through_edge(g, e, 3, mate=mate) == expected
     assert paths_through_edge(g, (2, 3), 3, mate=mate) == []
 
@@ -63,7 +58,7 @@ def test_paths_through_edge_validation():
     # numpy integers are ids, and the paths found hold plain ints.
     mate = mate_of(g, {(1, 2)})
     out = paths_through_edge(g, (np.int64(2), np.int64(1)), 3, mate=mate)
-    assert out == [PathKey((0, 1, 2, 3))]
+    assert out == [(0, 1, 2, 3)]
     assert {type(x) for x in out[0]} == {int}
 
 
@@ -76,7 +71,7 @@ def test_even_lengths_are_refused(length):
     with pytest.raises(ValueError, match="odd"):
         paths_through_edge(g, (0, 1), length, mate=mate)
     with pytest.raises(ValueError, match="odd"):
-        iter_intersecting(g, PathKey(range(length + 1)), mate=mate)
+        iter_intersecting(g, tuple(range(length + 1)), mate=mate)
 
 
 def test_intersecting_paths_midpoint_and_endpoint():
@@ -98,9 +93,9 @@ def test_intersecting_paths_midpoint_and_endpoint():
 
 def test_intersecting_paths_on_c5_single_edges():
     g = cycle_graph(5)
-    p = PathKey((0, 1))
+    p = (0, 1)
     out = sorted(iter_intersecting(g, p, mate=mate_of(g, {(2, 3)})))
-    assert set(out) == {PathKey((0, 4)), PathKey((1, 2))}
+    assert set(out) == {(0, 4), (1, 2)}
     assert p not in out
 
 
@@ -133,7 +128,13 @@ def test_enumeration_matches_bruteforce_small():
             expected = [
                 p for p in brute_paths_through_edge(g, e, length) if alternates(p, matching)
             ]
-            assert paths_through_edge(g, e, length, mate=mate) == expected
+            out = paths_through_edge(g, e, length, mate=mate)
+            assert out == expected
+            # Paths are plain tuples in canonical form, from both enumerators.
+            emitted = list(out)
+            if out:
+                emitted += iter_intersecting(g, out[0], mate=mate)
+            assert all(type(p) is tuple and p <= p[::-1] for p in emitted)
             cases += 1
     assert cases >= 30
 
@@ -172,7 +173,7 @@ def test_filtered_enumeration_keeps_exactly_the_alternating_paths():
             every = [p for p in simple_paths(g, length) if alternates(p, matching)]
             through = collections.defaultdict(list)
             for p in every:
-                for e in p.edge_seq():
+                for e in path_edges(p):
                     through[e].append(p)
             for e in g.sorted_edges():
                 assert paths_through_edge(g, e, length, mate=mate) == through[e]
@@ -192,7 +193,7 @@ def test_simple_paths_matches_bruteforce():
         for length in (1, 2, 3, 4, 5):
             every = simple_paths(g, length)
             for e in g.sorted_edges():
-                assert [p for p in every if e in p.edge_seq()] == brute_paths_through_edge(
+                assert [p for p in every if e in path_edges(p)] == brute_paths_through_edge(
                     g, e, length
                 )
 

@@ -1,33 +1,36 @@
 """Command-line front end.
 
 Usage:
-    lcamatch query --graph FILE --eps EPS --edge "u v" [--rng-seed S | --seed-blob HEX|@FILE]
+    lcamatch query --graph FILE --eps EPS --edge "u v" [--verbose]
+        [--rng-seed S | --seed-blob HEX|@FILE]
     lcamatch materialize --graph FILE --eps EPS [--format text|records]
         [--rng-seed S | --seed-blob HEX|@FILE]
     lcamatch bench --n 256,1024 --d 3 --eps 0.5 --trials 3 [--queries 50]
-        [--budget B] [--format records|text] [--rng-seed S]
+        [--budget B] [--rng-seed S]
 
-All commands are deterministic given explicit seeds; when neither --rng-seed
-nor --seed-blob is given, the LCAMATCH_RNG_SEED environment variable is the
-fallback, then 0.  Only query and materialize take --seed-blob: bench draws
+Every command is deterministic given its seed: --rng-seed, 0 when not given,
+or --seed-blob.  Only query and materialize take --seed-blob: bench draws
 graphs of several sizes, so no one seed set fits it.  Answers go to stdout;
---verbose diagnostics go to stderr.
+query --verbose writes its work record to stderr.
 
 Work counters (query --verbose, bench records): ``f`` counts augmenting-path
 checks, the budgeted unit.  Path enumeration keeps only paths that alternate
 between unmatched and matched edges, so each check is made on such a
 candidate and settles whether its two ends are free; phase 1 counts one
-check per edge it decides plus one per adjacent edge.  ``closures`` is the
-number of greedy-MIS decisions computed for augmenting paths; each
-decision's size is 1 plus the lower-ranked augmenting neighbours it scanned
-before it was settled, and ``max_closure``, ``relevant_mean`` and
-``relevant_max`` summarize those sizes.
+check per edge it decides plus one per adjacent edge.  Each greedy-MIS
+decision computed for an augmenting path has a size: 1 plus the
+lower-ranked augmenting neighbours it scanned before it was settled.
 
-bench samples ``--queries`` edges per trial, each queried with a fresh
-per-query memo.  A query that ``--budget`` refuses counts in ``refused``; its
-``f`` (``budget + 1``) enters ``f_mean``/``f_max`` and nothing else.  Over the
-answered queries, ``decisions_max`` is the most MIS decisions one query made,
-and ``tail_slope``/``tail_r_squared`` fit ``log Pr[decisions >= N]``
+query --verbose prints one JSON object: ``f``, ``f_by_phase``, ``decisions``
+(the MIS decisions the query made), ``relevant_max`` (their largest size)
+and ``wall_time`` (seconds, timed around the call by the CLI).
+
+bench prints one JSON record per trial.  It samples ``--queries`` edges per
+trial, each queried with a fresh per-query memo.  A query that ``--budget``
+refuses counts in ``refused``; its ``f`` (``budget + 1``) enters
+``f_mean``/``f_max`` and nothing else.  Over the answered queries,
+``decisions_max`` is the most MIS decisions one query made, and
+``tail_slope``/``tail_r_squared`` fit ``log Pr[decisions >= N]``
 (``querytree.tail_ccdf``; null when too few queries reach the tail).
 ``valid`` and ``no_short_augmenting_path`` check a full ``materialize()``
 under the default budget: the matching does not depend on the budget.
@@ -36,9 +39,9 @@ under the default budget: the matching does not depend on the budget.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
+import time
 from typing import Iterator
 
 from .graph import GraphFormatError, gen_random_bounded, load_graph
@@ -66,21 +69,12 @@ def _int_list(text: str) -> list[int]:
 
 def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--rng-seed", type=int, default=None, help="integer seed")
+    # Engine reads None as 0.  A default of 0 would let argparse take an
+    # explicit "--rng-seed 0" for the default and allow --seed-blob with it.
+    group.add_argument("--rng-seed", type=int, default=None,
+                       help="integer seed (default 0)")
     group.add_argument("--seed-blob", type=str, default=None,
                        help="hex seed blob, or @FILE to read it from FILE")
-
-
-def _resolve_rng_seed(args: argparse.Namespace) -> int:
-    if args.rng_seed is not None:
-        return args.rng_seed
-    env = os.environ.get("LCAMATCH_RNG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"LCAMATCH_RNG_SEED must be an integer, got {env!r}")
-    return 0
 
 
 def _blob_file_pieces(path: str) -> Iterator[str]:
@@ -105,38 +99,44 @@ def _build_engine(args: argparse.Namespace, g) -> Engine:
             _blob_file_pieces(blob[1:]) if blob.startswith("@") else blob
         )
         return Engine(g, eps=args.eps, seeds=seeds, budget=args.budget)
-    return Engine(g, eps=args.eps, rng_seed=_resolve_rng_seed(args), budget=args.budget)
+    return Engine(g, eps=args.eps, rng_seed=args.rng_seed, budget=args.budget)
+
+
+def _certify(g, matching: frozenset[tuple[int, int]], k: int) -> tuple[bool, bool]:
+    """Whether ``matching`` is vertex-disjoint, and whether it also leaves no
+    augmenting path of at most ``2k - 1`` edges (exhaustive search)."""
+    from .oracles import find_augmenting_path, verify_matching  # not for query
+
+    valid = verify_matching(g, matching)
+    return valid, valid and find_augmenting_path(g, matching, 2 * k - 1) is None
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     engine = _build_engine(args, g)
+    start = time.perf_counter()
     answer = engine.query(args.edge)
+    wall_time = time.perf_counter() - start
     print("true" if answer else "false")
-    if args.verbose and engine.last_stats is not None:
+    if args.verbose:
+        import json  # a plain query starts without it
+
         s = engine.last_stats
-        by_phase = " ".join(f"f[{ell}]={c}" for ell, c in sorted(s.f_by_phase.items()))
         sizes = s.relevant_set_sizes
-        print(
-            f"f={s.f} {by_phase} closures={len(sizes)} "
-            f"max_closure={max(sizes) if sizes else 0} "
-            f"wall_time={s.wall_time:.6f}",
-            file=sys.stderr,
-        )
+        record = {"f": s.f, "f_by_phase": s.f_by_phase, "decisions": len(sizes),
+                  "relevant_max": max(sizes, default=0), "wall_time": wall_time}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
     return 0
 
 
 def cmd_materialize(args: argparse.Namespace) -> int:
     import json  # materialize and bench only: query starts without them
 
-    from .oracles import find_augmenting_path, verify_matching
-
     g = _load_graph_file(args.graph)
     engine = _build_engine(args, g)
-    matching = sorted(engine.materialize())
-    horizon = 2 * engine.k - 1
-    valid = verify_matching(g, set(matching))
-    witness = find_augmenting_path(g, set(matching), horizon) if valid else None
+    found = engine.materialize()
+    matching = sorted(found)
+    valid, no_short = _certify(g, found, engine.k)
     summary = {
         "n": g.vertex_count,
         "edges": g.edge_count,
@@ -144,8 +144,8 @@ def cmd_materialize(args: argparse.Namespace) -> int:
         "k": engine.k,
         "size": len(matching),
         "valid": valid,
-        "checked_length": horizon,
-        "no_short_augmenting_path": valid and witness is None,
+        "checked_length": 2 * engine.k - 1,
+        "no_short_augmenting_path": no_short,
     }
     if args.format == "records":
         for u, v in matching:
@@ -163,12 +163,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
     import statistics  # bench only: query and materialize start without it
 
-    from .oracles import find_augmenting_path, verify_matching
-
     for flag, value in (("--trials", args.trials), ("--queries", args.queries)):
         if value < 0:
             raise ValueError(f"{flag} must not be negative, got {value}")
-    base = _resolve_rng_seed(args)
+    base = args.rng_seed
     for n in args.n:
         for trial in range(args.trials):
             graph_seed = base * 1_000_003 + n * 1_009 + trial
@@ -200,7 +198,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 fs.append(probe.last_stats.f)
             tail = tail_ccdf(decisions)
             matching = Engine(g, k=k, seeds=probe.seeds).materialize()
-            valid = verify_matching(g, matching)
+            valid, no_short = _certify(g, matching, k)
             record = {
                 "trial": trial,
                 "n": n,
@@ -213,8 +211,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "refused": refused,
                 "matching_size": len(matching),
                 "valid": valid,
-                "no_short_augmenting_path": valid
-                and find_augmenting_path(g, matching, 2 * k - 1) is None,
+                "no_short_augmenting_path": no_short,
                 "f_mean": round(statistics.fmean(fs), 3) if fs else 0.0,
                 "f_max": max(fs, default=0),
                 "relevant_mean": (
@@ -225,10 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "tail_slope": tail.slope,
                 "tail_r_squared": tail.r_squared,
             }
-            if args.format == "records":
-                print(json.dumps(record, sort_keys=True))
-            else:
-                print(" ".join(f"{key}={json.dumps(v)}" for key, v in sorted(record.items())))
+            print(json.dumps(record, sort_keys=True))
     return 0
 
 
@@ -245,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--edge", type=_edge_arg, required=True, help="edge as 'u v'")
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     q.add_argument("--verbose", action="store_true",
-                   help="work counters on stderr: f, f per phase, MIS decisions "
-                        "(closures) and the largest decision size (max_closure)")
+                   help="the query's work record on stderr, as one JSON object")
     _add_seed_flags(q)
     q.set_defaults(func=cmd_query)
 
@@ -260,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="random-graph trials with per-query stats: f_mean/f_max, "
+        help="random-graph trials, one JSON record each: f_mean/f_max, "
              "relevant_mean/relevant_max over MIS decision sizes, refused "
              "queries, and the tail of MIS decisions per query",
     )
@@ -273,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per sampled query, refusals count in 'refused'; the "
                         "validity check uses the default, as the matching does "
                         "not depend on the budget")
-    b.add_argument("--format", choices=("text", "records"), default="records")
-    b.add_argument("--rng-seed", type=int, default=None, help="integer seed")
+    b.add_argument("--rng-seed", type=int, default=0, help="integer seed (default 0)")
     b.set_defaults(func=cmd_bench)
 
     return parser

@@ -43,13 +43,16 @@ def mk_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _as_int(value: int, what: str = "vertex id") -> int:
+def _as_int(value: int, what: str = "vertex id", least: int | None = None) -> int:
     # operator.index lets numpy ints through but not floats, which a
     # neighbour search would match (0.0 == 0) and adjacency could not index.
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 class Graph(Record, frozen=True):
@@ -84,11 +87,7 @@ class Graph(Record, frozen=True):
         Each edge is checked as it arrives, so an error names the first
         offending edge; :func:`load_graph` relies on this for line numbers.
         """
-        n, d = _as_int(n, "vertex count"), _as_int(d, "degree bound")
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
-        if d < 0:
-            raise ValueError(f"degree bound must be non-negative, got {d}")
+        n, d = _as_int(n, "vertex count", 0), _as_int(d, "degree bound", 0)
         seen: set[tuple[int, int]] = set()
         # Lists only for vertices that have an edge: storage follows the
         # edges read, not the declared vertex count.
@@ -238,13 +237,12 @@ def gen_random_bounded(n: int, d: int, seed: int) -> Graph:
     Repeatedly proposes uniform vertex pairs and keeps a proposal unless it
     is a self loop, already present, or would push an endpoint past ``d``.
     The proposal budget is ``10 * n * d``; when it runs out the graph built
-    so far is returned, so sparse (even empty) results are legal.
+    so far is returned, so sparse (even empty) results are legal.  ``n``,
+    ``d`` and ``seed`` are integers, ``seed`` non-negative.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if d < 1:
-        raise ValueError(f"degree bound must be at least 1, got {d}")
-    rng = random.Random(seed)
+    n, d = _as_int(n, "vertex count", 2), _as_int(d, "degree bound", 1)
+    # random.Random would hash a str, draw from the OS for None and drop a sign.
+    rng = random.Random(_as_int(seed, "seed", 0))
     degrees = [0] * n
     chosen: set[tuple[int, int]] = set()
     for _ in range(_PROPOSAL_FACTOR * n * d):

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import operator
-import time
 
 from ._record import Record
 from .graph import Graph, _as_int, mk_edge
@@ -74,7 +73,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class Stats(Record):
-    """Counters for one top-level query.
+    """The work record of one public call, live while the call runs.
 
     ``f`` counts augmenting-path checks (the budgeted unit of work), made
     only on alternating candidates; a phase-1 decision for edge ``(u, v)``
@@ -83,16 +82,16 @@ class Stats(Record):
     splits the count by phase length, and ``relevant_set_sizes`` has one
     entry per greedy-MIS decision computed for an augmenting path during the
     query: 1 plus the number of lower-ranked augmenting neighbours that
-    decision scanned.
+    decision scanned.  The engine counts work and keeps no clock; a caller
+    times its own calls.
     """
 
-    __slots__ = ("f", "f_by_phase", "relevant_set_sizes", "wall_time")
-    _defaults = {"f": int, "f_by_phase": dict, "relevant_set_sizes": list, "wall_time": float}
+    __slots__ = ("f", "f_by_phase", "relevant_set_sizes")
+    _defaults = {"f": int, "f_by_phase": dict, "relevant_set_sizes": list}
 
     f: int
     f_by_phase: dict[int, int]
     relevant_set_sizes: list[int]
-    wall_time: float
 
 
 def __getattr__(name: str):
@@ -109,6 +108,8 @@ def __getattr__(name: str):
 
 def _k_from_eps(eps: float, k_max: int) -> int:
     """``ceil(1 / eps)``, at least 1 and at most ``k_max``."""
+    if not hasattr(type(eps), "__float__"):  # math.isfinite's own test
+        raise ValueError(f"eps must be a real number, got {eps!r}")
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     inverse = 1.0 / eps
@@ -136,7 +137,8 @@ class Engine:
         Optional pre-built :class:`~lcamatch.ordering.SeedSet`; must cover
         every phase and match the graph's vertex count.
     rng_seed:
-        Used to draw seeds when ``seeds`` is not given; defaults to 0.
+        A non-negative integer, used to draw seeds when ``seeds`` is not
+        given; defaults to 0.
         Giving both is an error.
     budget:
         Max augmenting-path checks per top-level query.
@@ -164,12 +166,8 @@ class Engine:
         k_max = max(1, (min(graph.vertex_count - 1, graph.edge_count) + 1) // 2)
         if k is None:
             k = _k_from_eps(eps, k_max)  # type: ignore[arg-type]
-        k, budget = _as_int(k, "k"), _as_int(budget, "budget")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        k = min(k, k_max)
-        if budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
+        k = min(_as_int(k, "k", 1), k_max)
+        budget = _as_int(budget, "budget", 1)
         if cache_mode not in ("shared", "per_query"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
         if seeds is not None and rng_seed is not None:
@@ -200,14 +198,12 @@ class Engine:
         self._mis1: dict[tuple[int, int], bool] = {}
         self._ranks: dict[tuple[int, ...], Rank] = {}
         self._lower: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._stats = Stats()
 
     # -- public query surface -------------------------------------------
 
     def query(self, edge: tuple[int, int]) -> bool:
         """True iff ``edge`` belongs to the final matching."""
-        e = self._check_edge(edge)
-        return self._run(lambda: self._in_matching(e, 2 * self.k - 1))
+        return self.is_in_matching(edge, 2 * self.k - 1)
 
     def materialize(self) -> frozenset[tuple[int, int]]:
         """The full matching, by querying every edge."""
@@ -216,13 +212,15 @@ class Engine:
     def is_in_matching(self, edge: tuple[int, int], ell: int) -> bool:
         """Membership of ``edge`` in the matching after phase ``ell``.
 
-        ``ell`` is -1 (the empty matching before phase 1) or odd in
-        ``1..2k-1``.  Every other per-phase fact follows from this one:
-        phase ``ell`` picked a path ``p`` of ``ell`` edges iff every edge of
-        ``p`` changes membership between ``ell - 2`` and ``ell``; ``p``
-        augments the matching after ``ell - 2`` iff it alternates against it
-        with both ends free; and vertex ``v`` is free after phase ``ell`` iff
-        no edge at ``v`` is in.
+        The engine's one checked entry; ``query`` is its top phase, and
+        ``last_stats`` is this call's record from its start.  ``ell`` is -1
+        (the empty matching before phase 1, answered False without
+        recursing) or odd in ``1..2k-1``.  Every other per-phase fact
+        follows from this one: phase ``ell`` picked a path ``p`` of ``ell``
+        edges iff every edge of ``p`` changes membership between ``ell - 2``
+        and ``ell``; ``p`` augments the matching after ``ell - 2`` iff it
+        alternates against it with both ends free; and vertex ``v`` is free
+        after phase ``ell`` iff no edge at ``v`` is in.
         """
         e = self._check_edge(edge)
         ell = _as_int(ell, "phase length")
@@ -231,20 +229,23 @@ class Engine:
                 f"phase length must be -1, or odd and within 1..{2 * self.k - 1}, "
                 f"got {ell}"
             )
-        return self._run(lambda: self._in_matching(e, ell))
+        return self._run(lambda: ell != -1 and self._in_matching(e, ell))
 
     # -- validation -------------------------------------------------------
 
     def _check_edge(self, edge: tuple[int, int]) -> tuple[int, int]:
-        # has_edge refuses non-integer ids (graph._as_int says why).
-        try:
-            u, v = edge
-            found = self.graph.has_edge(u, v)
-        except (TypeError, ValueError):
-            raise ValueError(f"edge must be a pair of integers, got {edge!r}") from None
-        if not found:
+        # Integer ids take operator.index: numpy ints pass, floats do not
+        # (graph._as_int says why).
+        if not (
+            isinstance(edge, (tuple, list))
+            and len(edge) == 2
+            and all(hasattr(type(x), "__index__") for x in edge)
+        ):
+            raise ValueError(f"edge must be a pair of integers, got {edge!r}")
+        u, v = map(operator.index, edge)
+        if not self.graph.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not in graph")
-        return mk_edge(operator.index(u), operator.index(v))
+        return mk_edge(u, v)
 
     # -- budgeted recursion ------------------------------------------------
 
@@ -252,20 +253,13 @@ class Engine:
         if self.cache_mode == "per_query":
             self._memo.clear()
             self._mis1.clear()
-        stats = Stats()
-        self._stats = stats
-        start = time.perf_counter()
-        try:
-            return thunk()
-        finally:
-            stats.wall_time = time.perf_counter() - start
-            self.last_stats = stats
+        self.last_stats = Stats()
+        return thunk()
 
     def _in_matching(self, e: tuple[int, int], ell: int) -> bool:
+        # ell is odd in 1..2k-1: the public probe answers -1 itself.
         if ell == 1:
             return self._edge_in_mis(e)
-        if ell == -1:
-            return False
         key = (e, ell)
         cached = self._memo.get(key)
         if cached is not None:
@@ -330,7 +324,7 @@ class Engine:
             if self._edge_in_mis(q):
                 res = False
                 break
-        self._stats.relevant_set_sizes.append(1 + scanned)
+        self.last_stats.relevant_set_sizes.append(1 + scanned)
         self._mis1[e] = res
         return res
 
@@ -357,7 +351,7 @@ class Engine:
                 if self._path_in_mis(q, ell):
                     res = False
                     break
-            self._stats.relevant_set_sizes.append(1 + scanned)
+            self.last_stats.relevant_set_sizes.append(1 + scanned)
         self._memo[p] = res
         return res
 
@@ -370,7 +364,7 @@ class Engine:
     def _charge(self, ell: int, checks: int) -> None:
         # A refused query stops at f == budget + 1, however many checks
         # this step would have made.
-        stats = self._stats
+        stats = self.last_stats
         checks = min(checks, self.budget + 1 - stats.f)
         stats.f += checks
         stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + checks

@@ -28,6 +28,7 @@ from itertools import islice, repeat
 from typing import Iterable
 
 from ._record import Record
+from .graph import _as_int
 
 __all__ = [
     "Seed",
@@ -180,16 +181,17 @@ def _phase_shape(n: int, ell: int) -> tuple[int, int, int]:
 def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
     """Draw fresh per-phase seeds; deterministic in all arguments.
 
+    Each argument is an integer, and ``rng_seed`` is non-negative: anything
+    else is a ``ValueError``, never a silently different draw.
+
     Phase ``ell`` gets ``4 * ceil(log2(n ** (ell + 1)))`` polynomial copies of
     ``kappa = ceil(4 * log2(n))`` coefficients each.  Phases are drawn in
     ascending order from one stream, so the seeds of the first phases do not
     depend on ``k``.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    draw = random.Random(rng_seed).getrandbits
+    k, n = _as_int(k, "k", 1), _as_int(n, "n", 2)
+    # random.Random would hash a str, draw from the OS for None and drop a sign.
+    draw = random.Random(_as_int(rng_seed, "seed", 0)).getrandbits
     phases: dict[int, Seed] = {}
     for ell in range(1, 2 * k, 2):
         modulus, copy_count, kappa = _phase_shape(n, ell)

@@ -33,6 +33,12 @@ other edge, so the path search follows partners, one memoized per vertex (the
 alternating search of Hopcroft and Karp).  A path it skips is not augmenting,
 so the greedy rule would have passed over it anyway and answers are unchanged.
 
+Cheapest question first: a flip matches its path's ends and keeps its inner
+vertices matched, so a vertex matched after phase ``j`` stays matched.  The
+end test asks both ends at phase 1, 3, ... and stops at the first matched
+one, a partner scan tries the previous phase's partner first, and a free
+vertex, which can only end a path, anchors only the paths it ends.
+
 Work is bounded by a per-query budget on augmenting-path checks: one per
 alternating candidate, which settles whether its two ends are free, and at
 phase 1 one for the edge plus one per adjacent edge.  A query that would
@@ -69,7 +75,11 @@ DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """A query hit its augmenting-check budget and refused to answer."""
+    """A refused query; ``stats`` is its record, stopped at ``f == budget + 1``."""
+
+    def __init__(self, message: str, stats: Stats | None = None) -> None:
+        super().__init__(message)
+        self.stats = stats
 
 
 class Stats(Record):
@@ -357,9 +367,14 @@ class Engine:
 
     def _augmenting(self, p: tuple[int, ...], ell: int) -> bool:
         # p alternates: every path reaching here came from an enumerator
-        # under _alternating(ell).  So only its two ends are left to check.
+        # under _alternating(ell).  So only its two ends are left to check,
+        # free after ell - 2: cheap low phases first, as matched stays matched.
         self._charge(ell, 1)
-        return self._partner(p[0], ell - 2) < 0 and self._partner(p[-1], ell - 2) < 0
+        partner = self._partner
+        for j in range(1, ell - 1, 2):
+            if partner(p[0], j) >= 0 or partner(p[-1], j) >= 0:
+                return False
+        return True
 
     def _charge(self, ell: int, checks: int) -> None:
         # A refused query stops at f == budget + 1, however many checks
@@ -370,18 +385,22 @@ class Engine:
         stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + checks
         if stats.f > self.budget:
             raise BudgetExceededError(
-                f"query exceeded budget of {self.budget} augmenting-path checks"
+                f"query exceeded budget of {self.budget} augmenting-path checks",
+                stats,
             )
 
     def _partner(self, v: int, ell: int) -> int:
-        # The first neighbour u, in adjacency order, with (v, u) in the
-        # matching after phase ell, or -1.  A matching has at most one.
+        # The neighbour u with (v, u) in the matching after phase ell, or
+        # -1.  A matching has at most one, so the order cannot change it: a
+        # flip keeps most partners, so v's partner after ell - 2 goes first.
         key = (v, ell)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        adj = self.graph.adjacency[v]
+        w = self._partner(v, ell - 2) if ell >= 3 else -1
         res = -1
-        for u in self.graph.adjacency[v]:
+        for u in (w, *adj) if w >= 0 else adj:
             if self._in_matching(mk_edge(v, u), ell):
                 res = u
                 break

@@ -66,8 +66,9 @@ def paths_through_edge(
 
     ``length`` must be odd (see :data:`Mate`).  Enumerates each split of the
     remaining ``length - 1`` edges around ``e`` and extends both ends by
-    depth-first search, so each path is produced exactly once.  Output is
-    sorted by canonical key, at most ``length * (d - 1) ** (length - 1)`` paths.
+    depth-first search, so each path is produced exactly once; a free
+    ``e[0]`` grows only the paths it ends.  Output is sorted by canonical
+    key, at most ``length * (d - 1) ** (length - 1)`` paths.
     """
     u, v = e
     if not g.has_edge(u, v):
@@ -76,9 +77,11 @@ def paths_through_edge(
     # has_edge has refused non-integer ids; paths hold plain ints.
     e = mk_edge(operator.index(u), operator.index(v))
     # After f edges the seed edge sits at position f + 1, even iff matched.
-    matched = mate(e[0]) == e[1]
+    # An alternating path's inner vertices are matched: a free e[0] ends it.
+    m = mate(e[0])
+    matched = m == e[1]
     out: list[tuple[int, ...]] = []
-    for front_steps in range(matched, length, 2):
+    for front_steps in range(matched, length if m >= 0 else 1, 2):
         _grow(g, mate, list(e), length - 1 - front_steps, front_steps, out)
     out.sort()
     return out
@@ -90,17 +93,24 @@ def iter_intersecting(
     """All other alternating paths of ``p``'s length that share a vertex with it.
 
     ``p``'s length must be odd (see :data:`Mate`).  The enumerator grows the
-    paths through each vertex of ``p`` by local depth-first search and yields
-    the union, minus ``p``, in no particular order.
+    paths through each vertex of ``p`` (a free one only ends them) by local
+    depth-first search and yields the union, minus ``p``, in no particular
+    order.
     """
     length = len(p) - 1
     _check_length(length)
     # A path through v holds it f < length / 2 steps from exactly one end, so
-    # growing f <= length // 2 steps before v reaches the path once.
+    # growing f <= length // 2 steps before v reaches the path once; a free v
+    # grows f == 0 only.  Its first step is taken here, v's mate in hand.
     out: list[tuple[int, ...]] = []
     for v in p:
-        for front_steps in range(length // 2 + 1):
-            _grow(g, mate, [v], length - front_steps, front_steps, out)
+        m = mate(v)
+        for w in g.adjacency[v]:
+            if w != m:
+                _grow(g, mate, [v, w], length - 1, 0, out)
+        if m >= 0:
+            for front_steps in range(1, length // 2 + 1):
+                _grow(g, mate, [v], length - front_steps, front_steps, out)
     found = set(out)
     found.discard(p)
     return iter(found)

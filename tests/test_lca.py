@@ -223,8 +223,13 @@ def test_repeated_query_same_answer():
 def test_budget_exhaustion_raises():
     g = petersen_graph()
     eng = Engine(g, k=2, rng_seed=0, budget=3)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         eng.query((0, 1))
+    # The error carries the refused query's record, stopped at budget + 1.
+    s = exc.value.stats
+    assert s is eng.last_stats
+    assert s.f == eng.budget + 1
+    assert sum(s.f_by_phase.values()) == s.f
     # a roomier engine with the same seeds still answers consistently
     ok = Engine(g, k=2, seeds=eng.seeds)
     assert ok.materialize() == abstract_distributed_mm(g, 2, eng.seeds)
@@ -232,27 +237,43 @@ def test_budget_exhaustion_raises():
 
 def test_phase_sizes_never_shrink():
     rng = random.Random(40)
+    deepest = 0
     for gi in range(6):
         n = rng.randrange(6, 16)
         d = rng.randrange(2, 5)
         g = gen_random_bounded(n, d, 1200 + gi)
         if g.edge_count == 0:
             continue
-        eng = Engine(g, k=3, rng_seed=gi)
-        sizes = [len(materialize_phase(eng, ell)) for ell in (1, 3, 5)]
+        eng = Engine(g, k=4, rng_seed=gi)
+        matchings = [materialize_phase(eng, ell) for ell in range(1, 2 * eng.k, 2)]
+        sizes = [len(m) for m in matchings]
         assert sizes == sorted(sizes)
+        # A flip matches its path's ends and keeps its inner vertices
+        # matched, so a vertex matched after phase j stays matched after
+        # j + 2: the end test asks the lower phases first on that account.
+        covered = [{v for e in m for v in e} for m in matchings]
+        assert all(a <= b for a, b in zip(covered, covered[1:]))
         # phase 1 output is a maximal matching
-        m1 = materialize_phase(eng, 1)
+        m1 = matchings[0]
         assert verify_matching(g, m1)
         assert find_augmenting_path(g, m1, 1) is None
+        deepest = max(deepest, eng.k)
+    assert deepest == 4
 
 
 def test_partner_is_the_mate_in_each_phase_matching():
     # The path search follows _partner, and _augmenting reads a free end as
-    # _partner < 0: it must be v's mate after phase ell, or -1.
-    for gi, g in enumerate((petersen_graph(), gen_random_bounded(40, 3, 77))):
-        eng = Engine(g, k=3, rng_seed=gi)
-        for ell in (1, 3, 5):
+    # _partner < 0: it must be v's mate after phase ell, or -1.  At k=4 the
+    # scan that tests the previous phase's partner first runs at 5 and 7.
+    cases = (
+        (petersen_graph(), 3),
+        (gen_random_bounded(40, 3, 77), 3),
+        (gen_random_bounded(40, 3, 77), 4),
+    )
+    for gi, (g, k) in enumerate(cases):
+        eng = Engine(g, k=k, rng_seed=gi)
+        assert eng.k == k
+        for ell in range(1, 2 * k, 2):
             partner = {}
             for u, v in materialize_phase(eng, ell):
                 partner[u], partner[v] = v, u
@@ -543,13 +564,15 @@ def test_phase1_table_does_not_depend_on_query_history():
         records.append(forward)
     # Answers computed before the table existed, when every phase-1 decision
     # went through the general path search; f re-derived when the path search
-    # began to follow partners, whose scan stops at the matched edge.
-    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "435e51bd0b2f764e"
+    # began to follow partners, whose scan stops at the matched edge, and
+    # again when the end test began at phase 1 and the partner scan at the
+    # previous phase's partner.
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "68d9549df2f7b9e6"
 
 
 # sha256 of repr(fs), the per-query f over the 50-edge sample, by n: sum
-# 65,501, max 5,213 at n=1024; sum 5,311, max 667 at n=4096.
-_PINNED_F_DIGESTS = {1024: "0247dbb9678dc714", 4096: "cfea58be14b1129b"}
+# 41,626, max 4,074 at n=1024; sum 5,311, max 667 at n=4096.
+_PINNED_F_DIGESTS = {1024: "07bb591994e031e1", 4096: "cfea58be14b1129b"}
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcamatch.graph import gen_random_bounded
-from lcamatch.paths import iter_intersecting, paths_through_edge
+from lcamatch.paths import _grow, iter_intersecting, paths_through_edge
 
 from conftest import (
     alternates,
@@ -183,6 +183,67 @@ def test_filtered_enumeration_keeps_exactly_the_alternating_paths():
                 assert set(iter_intersecting(g, p, mate=mate)) == expected
     assert graphs >= 6
     assert kept[3] > 0 and kept[5] > 0
+
+
+def _asks(mate):
+    """``mate`` and the list of vertices it is asked about."""
+    asked = []
+
+    def counted(x):
+        asked.append(x)
+        return mate(x)
+
+    return counted, asked
+
+
+def _split_asks(g, mate, path, steps, later):
+    # What one split of the reference grower asks of mate.
+    counted, asked = _asks(mate)
+    _grow(g, counted, list(path), steps, later, [])
+    return asked
+
+
+def test_free_anchor_grows_only_the_split_it_ends():
+    # An inner vertex of an alternating path is matched, so a free vertex
+    # can only end one.  Both enumerators then grow only the split with no
+    # edge before it, and ask mate nothing the other splits would.
+    rng = random.Random(7373)
+    through = intersecting = 0
+    for gi in range(8):
+        g = gen_random_bounded(rng.randrange(10, 21), rng.randrange(2, 5), 800 + gi)
+        if g.edge_count == 0:
+            continue
+        matching = random_matching(g, rng)
+        mate = mate_of(g, matching)
+        for length in (1, 3, 5):
+            every = [p for p in simple_paths(g, length) if alternates(p, matching)]
+            for e in g.sorted_edges():
+                if mate(e[0]) >= 0:
+                    continue
+                counted, asked = _asks(mate)
+                out = paths_through_edge(g, e, length, mate=counted)
+                assert out == [p for p in every if e in path_edges(p)]
+                split = _split_asks(g, mate, e, length - 1, 0)
+                assert collections.Counter(asked) == collections.Counter([e[0], *split])
+                through += 1
+            for p in every:
+                if all(mate(v) >= 0 for v in p):
+                    continue
+                counted, asked = _asks(mate)
+                out = set(iter_intersecting(g, p, mate=counted))
+                assert out == {q for q in every if q != p and set(q) & set(p)}
+                expected, every_split = [], []
+                for v in p:
+                    splits = range(length // 2 + 1)
+                    for f in splits if mate(v) >= 0 else splits[:1]:
+                        expected += _split_asks(g, mate, [v], length - f, f)
+                    for f in splits:
+                        every_split += _split_asks(g, mate, [v], length - f, f)
+                assert collections.Counter(asked) == collections.Counter(expected)
+                if length > 1:
+                    assert len(asked) < len(every_split)
+                intersecting += 1
+    assert through > 0 and intersecting > 0
 
 
 def test_simple_paths_matches_bruteforce():

@@ -62,19 +62,12 @@ def _edge_arg(text: str) -> tuple[int, int]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p]
+        values = [int(p) for p in text.split(",") if p]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
-
-
-def _add_seed_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    # Engine reads None as 0.  A default of 0 would let argparse take an
-    # explicit "--rng-seed 0" for the default and allow --seed-blob with it.
-    group.add_argument("--rng-seed", type=int, default=None,
-                       help="integer seed (default 0)")
-    group.add_argument("--seed-blob", type=str, default=None,
-                       help="hex seed blob, or @FILE to read it from FILE")
+    return values
 
 
 def _blob_file_pieces(path: str) -> Iterator[str]:
@@ -91,15 +84,14 @@ def _load_graph_file(path: str):
 
 
 def _build_engine(args: argparse.Namespace, g) -> Engine:
-    if args.seed_blob is not None:
-        blob = args.seed_blob
+    blob, seeds = args.seed_blob, None
+    if blob is not None:
         # Hex never starts with "@".  A file carries blobs too long for one
         # command-line argument (the kernel caps those at 128 KiB).
         seeds = seedset_from_blob(
             _blob_file_pieces(blob[1:]) if blob.startswith("@") else blob
         )
-        return Engine(g, eps=args.eps, seeds=seeds, budget=args.budget)
-    return Engine(g, eps=args.eps, rng_seed=args.rng_seed, budget=args.budget)
+    return Engine(g, eps=args.eps, seeds=seeds, rng_seed=args.rng_seed, budget=args.budget)
 
 
 def _certify(g, matching: frozenset[tuple[int, int]], k: int) -> tuple[bool, bool]:
@@ -163,7 +155,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
     import statistics  # bench only: query and materialize start without it
 
-    for flag, value in (("--trials", args.trials), ("--queries", args.queries)):
+    for flag, value in (
+        ("--trials", args.trials), ("--queries", args.queries), ("--rng-seed", args.rng_seed)
+    ):
         if value < 0:
             raise ValueError(f"{flag} must not be negative, got {value}")
     base = args.rng_seed
@@ -233,22 +227,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("query", help="answer one edge-membership query")
-    q.add_argument("--graph", required=True, help="edge-list file ('n m d' header)")
-    q.add_argument("--eps", type=float, required=True, help="approximation slack")
+    # The flags query and materialize share.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--graph", required=True, help="edge-list file ('n m d' header)")
+    engine.add_argument("--eps", type=float, required=True, help="approximation slack")
+    engine.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    group = engine.add_mutually_exclusive_group()
+    # Engine reads None as 0.  A default of 0 would let argparse take an
+    # explicit "--rng-seed 0" for the default and allow --seed-blob with it.
+    group.add_argument("--rng-seed", type=int, default=None,
+                       help="integer seed (default 0)")
+    group.add_argument("--seed-blob", type=str, default=None,
+                       help="hex seed blob, or @FILE to read it from FILE")
+
+    q = sub.add_parser("query", parents=[engine], help="answer one edge-membership query")
     q.add_argument("--edge", type=_edge_arg, required=True, help="edge as 'u v'")
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     q.add_argument("--verbose", action="store_true",
                    help="the query's work record on stderr, as one JSON object")
-    _add_seed_flags(q)
     q.set_defaults(func=cmd_query)
 
-    m = sub.add_parser("materialize", help="query every edge and print the matching")
-    m.add_argument("--graph", required=True)
-    m.add_argument("--eps", type=float, required=True)
-    m.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    m = sub.add_parser("materialize", parents=[engine],
+                       help="query every edge and print the matching")
     m.add_argument("--format", choices=("text", "records"), default="text")
-    _add_seed_flags(m)
     m.set_defaults(func=cmd_materialize)
 
     b = sub.add_parser(

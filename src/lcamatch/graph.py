@@ -236,9 +236,9 @@ def gen_random_bounded(n: int, d: int, seed: int) -> Graph:
 
     Repeatedly proposes uniform vertex pairs and keeps a proposal unless it
     is a self loop, already present, or would push an endpoint past ``d``.
-    The proposal budget is ``10 * n * d``; when it runs out the graph built
-    so far is returned, so sparse (even empty) results are legal.  ``n``,
-    ``d`` and ``seed`` are integers, ``seed`` non-negative.
+    The proposal budget is ``10 * n * d``, cut short by a complete graph; the
+    graph built so far is returned, so sparse (even empty) results are legal.
+    ``n``, ``d`` and ``seed`` are integers, ``seed`` non-negative.
     """
     n, d = _as_int(n, "vertex count", 2), _as_int(d, "degree bound", 1)
     # random.Random would hash a str, draw from the OS for None and drop a sign.
@@ -258,4 +258,6 @@ def gen_random_bounded(n: int, d: int, seed: int) -> Graph:
         chosen.add(e)
         degrees[u] += 1
         degrees[v] += 1
+        if len(chosen) == n * (n - 1) // 2:
+            break  # complete: every later proposal would be refused
     return Graph.from_edges(n, d, chosen)

@@ -283,20 +283,21 @@ def rank(p: tuple[int, ...], seed: Seed) -> Rank:
 
 
 _BLOB_VERSION = 1
-# Every blob carries this one "mode" value; the field stays so that blobs
-# written by earlier versions replay unchanged.
-_BLOB_MODE = "kwise"
 # Written blobs inflate about 2x (JSON lists of random integers); inflating
 # stops at this multiple of the compressed size, and a blob not done by then
 # is refused.
 _BLOB_MAX_INFLATION = 16
 
 
-def seedset_to_blob(seeds: SeedSet) -> str:
-    """Hex blob carrying the full seed material for replayable runs."""
+def _dump(payload) -> bytes:
     import json  # blob functions only: no query loads json or zlib
-    import zlib
 
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+
+
+def _encode(seeds: SeedSet) -> bytes:
+    """The JSON bytes a blob of ``seeds`` inflates to: the one definition of
+    the blob format, which the reader re-encodes to check a blob against."""
     phases = {
         str(ell): {
             "base": s.base,
@@ -306,45 +307,22 @@ def seedset_to_blob(seeds: SeedSet) -> str:
         }
         for ell, s in sorted(seeds.phases.items())
     }
-    payload = {
-        "version": _BLOB_VERSION,
-        "mode": _BLOB_MODE,
-        "k": seeds.k,
-        "n": seeds.n,
-        "phases": phases,
-    }
-    raw = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
-    return zlib.compress(raw, level=6).hex()
+    # "mode" has one value; the field stays so that earlier blobs replay.
+    return _dump(
+        {"version": _BLOB_VERSION, "mode": "kwise", "k": seeds.k, "n": seeds.n,
+         "phases": phases}
+    )
+
+
+def seedset_to_blob(seeds: SeedSet) -> str:
+    """Hex blob carrying the full seed material for replayable runs."""
+    import zlib
+
+    return zlib.compress(_encode(seeds), level=6).hex()
 
 
 def _malformed(why: str) -> ValueError:
     return ValueError(f"malformed seed blob: {why}")
-
-
-def _json_int(value) -> int:
-    # int() would take 2.9, "2" and true; a field written as an integer won't.
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _phase_from_blob(n: int, ell: int, entry) -> Seed:
-    seed = Seed(
-        _json_int(entry["base"]),
-        _json_int(entry["length"]),
-        _json_int(entry["modulus"]),
-        tuple(tuple(_json_int(x) for x in c) for c in entry["copies"]),
-    )
-    if seed.length != ell:
-        raise ValueError(f"length {seed.length}")
-    if seed.base != n:
-        raise ValueError(f"base {seed.base}, expected n={n}")
-    shape, expected = (seed.modulus, seed.bit_width, seed.kappa), _phase_shape(n, ell)
-    if shape != expected:
-        raise ValueError(f"(modulus, copies, kappa) {shape}, expected {expected}")
-    if not all(0 <= x < seed.modulus for c in seed.copies for x in c):
-        raise ValueError(f"coefficient outside [0, {seed.modulus})")
-    return seed
 
 
 def _inflate_hex(pieces: Iterable[str]) -> bytes:
@@ -384,7 +362,11 @@ def seedset_from_blob(blob: str | Iterable[str]) -> SeedSet:
     """Inverse of :func:`seedset_to_blob`; any malformed blob is a ValueError.
 
     ``blob`` is the hex text, or its pieces in order (say, chunks of a file),
-    which are inflated as they arrive.  Whitespace is ignored.
+    which are inflated as they arrive.  Whitespace is ignored.  A blob is
+    accepted only if its JSON holds exactly what :func:`seedset_to_blob`
+    writes for the seed set it describes: the same keys, values and JSON
+    types (``true`` is not ``1``, ``2.0`` is not ``2``), no key more or
+    less.  Whitespace and key order inside the JSON may differ.
     """
     import json
     import zlib
@@ -397,23 +379,30 @@ def seedset_from_blob(blob: str | Iterable[str]) -> SeedSet:
         raise _malformed("payload is not an object")
     if payload.get("version") != _BLOB_VERSION:
         raise ValueError(f"unsupported seed blob version {payload.get('version')!r}")
-    mode = payload.get("mode")
-    if mode != _BLOB_MODE:
-        raise _malformed(f"missing or unsupported mode {mode!r}")
     for name, low in (("k", 1), ("n", 2)):
         value = payload.get(name)
         if type(value) is not int or value < low:
             raise _malformed(f"missing, mistyped or too small {name!r}")
     k, n = payload["k"], payload["n"]
-    entries = payload.get("phases")
-    if not isinstance(entries, dict):
-        raise _malformed("missing or mistyped 'phases'")
-    if len(entries) != k:
-        raise _malformed(f"{len(entries)} phases for k={k}")
     phases: dict[int, Seed] = {}
     for ell in range(1, 2 * k, 2):
+        # Read the entry before computing its shape: k is only as large as
+        # the phases the blob holds.
         try:
-            phases[ell] = _phase_from_blob(n, ell, entries[str(ell)])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _malformed(f"phase {ell}: {exc!r}") from None
-    return SeedSet(k, n, phases)
+            copies = payload["phases"][str(ell)]["copies"]
+        except (KeyError, TypeError):
+            raise _malformed(f"no copies for phase {ell}") from None
+        modulus, copy_count, kappa = _phase_shape(n, ell)
+        if not (
+            isinstance(copies, list)
+            and len(copies) == copy_count
+            and all(isinstance(c, list) and len(c) == kappa for c in copies)
+            and all(type(x) is int and 0 <= x < modulus for c in copies for x in c)
+        ):
+            raise _malformed(f"phase {ell} needs {copy_count} copies of {kappa} "
+                             f"integers in [0, {modulus})")
+        phases[ell] = Seed(n, ell, modulus, tuple(map(tuple, copies)))
+    seeds = SeedSet(k, n, phases)
+    if _dump(payload) != _encode(seeds):
+        raise _malformed(f"fields differ from the blob written for k={k}, n={n}")
+    return seeds

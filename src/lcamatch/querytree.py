@@ -20,6 +20,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from ._record import Record
+from .graph import _as_int
 
 __all__ = ["TailEstimate", "tail_ccdf"]
 
@@ -50,6 +51,7 @@ def tail_ccdf(sizes: Sequence[int]) -> TailEstimate:
     """
     import statistics  # only the fit uses it; keeps it out of `import lcamatch`
 
+    sizes = [_as_int(s, "size") for s in sizes]
     if any(s < 0 for s in sizes):
         raise ValueError("sizes must not be negative")
     samples = len(sizes)

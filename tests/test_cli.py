@@ -218,13 +218,20 @@ def test_bench_prints_json_only():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--queries"])
+@pytest.mark.parametrize("flag", ["--trials", "--queries", "--rng-seed"])
 def test_bench_rejects_negative_counts(flag, capsys):
     rc = main(["bench", "--n", "8", "--d", "2", "--eps", "1.0", flag, "-1"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and flag in err
+
+
+def test_bench_refuses_an_empty_size_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", ",", "--d", "2", "--eps", "1.0"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_seed_defaults_to_zero_whatever_the_environment(g64_file, capsys, monkeypatch):

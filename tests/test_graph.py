@@ -227,6 +227,14 @@ def test_generator_deterministic():
     assert c != a
 
 
+def test_generator_stops_once_the_graph_is_complete():
+    # 10 * n * d proposals would never finish at this d; a complete graph
+    # refuses every later proposal, so stopping changes no output.
+    g = gen_random_bounded(64, 10**14, 1)
+    assert g.edge_count == 64 * 63 // 2
+    assert g.sorted_edges() == gen_random_bounded(64, 200, 1).sorted_edges()
+
+
 def test_generator_argument_validation():
     with pytest.raises(ValueError):
         gen_random_bounded(1, 3, 0)

@@ -386,8 +386,24 @@ _RANDOM_MODE_PAYLOAD = {
         _edit(lambda p: p["phases"]["1"].update(length="1")),
         _edit(lambda p: p["phases"]["1"].update(length=True)),
         _edit(lambda p: p["phases"]["1"]["copies"][0].__setitem__(0, True)),
+        _edit(lambda p: p.update(extra=1)),
+        _edit(lambda p: p["phases"]["1"].update(extra=1)),
     ],
 )
 def test_blob_rejects_malformed_payload(payload):
     with pytest.raises(ValueError, match="malformed seed blob"):
         seedset_from_blob(_blob_of(payload))
+
+
+def _reversed_keys(obj):
+    if isinstance(obj, dict):
+        return {key: _reversed_keys(obj[key]) for key in reversed(obj)}
+    return obj
+
+
+def test_blob_layout_does_not_matter():
+    # json.dumps defaults put spaces after separators; the writer sorts keys
+    # and writes none.
+    payload = _reversed_keys(_good_payload())
+    assert list(payload) == sorted(payload, reverse=True)
+    assert seedset_from_blob(_blob_of(payload)) == init_seeds(2, 6, 3)

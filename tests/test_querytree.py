@@ -70,6 +70,9 @@ def test_tail_is_exponential_for_degree_three(decision_counts):
 def test_estimate_validation():
     with pytest.raises(ValueError, match="negative"):
         tail_ccdf([3, -1])
+    for size in (1.5, "3"):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            tail_ccdf([size])
 
 
 def test_estimate_is_frozen_record():

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Iterable, Iterator, TextIO
-
-from ._record import Record
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 __all__ = [
     "Graph",
@@ -43,7 +42,8 @@ def mk_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _as_int(value: int, what: str = "vertex id", least: int | None = None) -> int:
+def _as_int(value: int, what: str = "vertex id",
+            least: int | None = None, most: int | None = None) -> int:
     # operator.index lets numpy ints through but not floats, which a
     # neighbour search would match (0.0 == 0) and adjacency could not index.
     try:
@@ -52,10 +52,12 @@ def _as_int(value: int, what: str = "vertex id", least: int | None = None) -> in
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value}")
     return value
 
 
-class Graph(Record, frozen=True):
+class Graph(NamedTuple):
     """Immutable bounded-degree graph.
 
     Attributes
@@ -68,12 +70,11 @@ class Graph(Record, frozen=True):
         Sorted neighbor tuples of vertices ``0`` up to the highest one with an
         edge; the vertices above it are isolated.  :meth:`neighbors` covers
         every vertex.  The graph's only edge store: :meth:`has_edge` and
-        :meth:`sorted_edges` read it.
+        :meth:`sorted_edges` read it.  Memory is O(m + the highest id with
+        an edge), not O(m): one edge at id 10^9 builds a 10^9-entry tuple.
     edge_count:
         Number of edges.
     """
-
-    __slots__ = ("vertex_count", "degree_bound", "adjacency", "edge_count")
 
     vertex_count: int
     degree_bound: int
@@ -87,10 +88,12 @@ class Graph(Record, frozen=True):
         Each edge is checked as it arrives, so an error names the first
         offending edge; :func:`load_graph` relies on this for line numbers.
         """
-        n, d = _as_int(n, "vertex count", 0), _as_int(d, "degree bound", 0)
+        # Vertex ids index a tuple, so no count past sys.maxsize can run.
+        n, d = _as_int(n, "vertex count", 0, sys.maxsize), _as_int(d, "degree bound", 0)
         seen: set[tuple[int, int]] = set()
-        # Lists only for vertices that have an edge: storage follows the
-        # edges read, not the declared vertex count.
+        # Lists only for vertices that have an edge, but the tuples below run
+        # to the highest id with one: storage is O(m + that id), whatever
+        # the declared vertex count.
         nbrs: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
@@ -217,7 +220,8 @@ def load_graph(stream: TextIO) -> Graph:
     except GraphFormatError:
         raise
     except ValueError as exc:
-        # from_edges checks each edge as it arrives, so lineno is its line.
+        # from_edges checks the vertex count first and then each edge as it
+        # arrives, so lineno is the header's line or the edge's.
         raise GraphFormatError(f"line {lineno}: {exc}") from None
     if g.edge_count != m:
         raise GraphFormatError(f"header declares {m} edges, found {g.edge_count}")
@@ -240,7 +244,7 @@ def gen_random_bounded(n: int, d: int, seed: int) -> Graph:
     graph built so far is returned, so sparse (even empty) results are legal.
     ``n``, ``d`` and ``seed`` are integers, ``seed`` non-negative.
     """
-    n, d = _as_int(n, "vertex count", 2), _as_int(d, "degree bound", 1)
+    n, d = _as_int(n, "vertex count", 2, sys.maxsize), _as_int(d, "degree bound", 1)
     # random.Random would hash a str, draw from the OS for None and drop a sign.
     rng = random.Random(_as_int(seed, "seed", 0))
     degrees = [0] * n

@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 import operator
 
-from ._record import Record
 from .graph import Graph, _as_int, mk_edge
 from .ordering import Rank, SeedSet, init_seeds, rank
 from .paths import Mate, iter_intersecting, paths_through_edge
@@ -82,7 +81,7 @@ class BudgetExceededError(RuntimeError):
         self.stats = stats
 
 
-class Stats(Record):
+class Stats:
     """The work record of one public call, live while the call runs.
 
     ``f`` counts augmenting-path checks (the budgeted unit of work), made
@@ -93,15 +92,31 @@ class Stats(Record):
     entry per greedy-MIS decision computed for an augmenting path during the
     query: 1 plus the number of lower-ranked augmenting neighbours that
     decision scanned.  The engine counts work and keeps no clock; a caller
-    times its own calls.
+    times its own calls.  Fields go by position or keyword; ``Stats()``
+    starts at zero with fresh containers.
     """
 
     __slots__ = ("f", "f_by_phase", "relevant_set_sizes")
-    _defaults = {"f": int, "f_by_phase": dict, "relevant_set_sizes": list}
 
-    f: int
-    f_by_phase: dict[int, int]
-    relevant_set_sizes: list[int]
+    def __init__(self, f: int = 0, f_by_phase: dict[int, int] | None = None,
+                 relevant_set_sizes: list[int] | None = None) -> None:
+        self.f = f
+        self.f_by_phase = {} if f_by_phase is None else f_by_phase
+        self.relevant_set_sizes = [] if relevant_set_sizes is None else relevant_set_sizes
+
+    def __eq__(self, other: object) -> bool:  # defining it leaves Stats unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.f, self.f_by_phase, self.relevant_set_sizes) == (
+            other.f, other.f_by_phase, other.relevant_set_sizes
+        )
+
+    def __reduce__(self):  # pickle protocols 0 and 1 refuse bare slots
+        return self.__class__, (self.f, self.f_by_phase, self.relevant_set_sizes)
+
+    def __repr__(self) -> str:
+        return (f"Stats(f={self.f!r}, f_by_phase={self.f_by_phase!r}, "
+                f"relevant_set_sizes={self.relevant_set_sizes!r})")
 
 
 def __getattr__(name: str):
@@ -239,7 +254,11 @@ class Engine:
                 f"phase length must be -1, or odd and within 1..{2 * self.k - 1}, "
                 f"got {ell}"
             )
-        return self._run(lambda: ell != -1 and self._in_matching(e, ell))
+        if self.cache_mode == "per_query":
+            self._memo.clear()
+            self._mis1.clear()
+        self.last_stats = Stats()
+        return ell != -1 and self._in_matching(e, ell)
 
     # -- validation -------------------------------------------------------
 
@@ -258,13 +277,6 @@ class Engine:
         return mk_edge(u, v)
 
     # -- budgeted recursion ------------------------------------------------
-
-    def _run(self, thunk):
-        if self.cache_mode == "per_query":
-            self._memo.clear()
-            self._mis1.clear()
-        self.last_stats = Stats()
-        return thunk()
 
     def _in_matching(self, e: tuple[int, int], ell: int) -> bool:
         # ell is odd in 1..2k-1: the public probe answers -1 itself.

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import islice, repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ._record import Record
 from .graph import _as_int
 
 __all__ = [
@@ -119,28 +119,40 @@ def _into_field(x: int, modulus: int) -> int:
     return h
 
 
-class Seed(Record, frozen=True):
+class _SeedFields(NamedTuple):
+    base: int
+    length: int
+    modulus: int
+    copies: tuple[tuple[int, ...], ...]
+
+
+class Seed(_SeedFields):
     """Per-phase seed for the polynomial ordering.
 
     ``copies`` holds one coefficient vector per output bit, each of length
     ``kappa``, coefficients in ascending power order.
     """
 
-    __slots__ = ("base", "length", "modulus", "copies")
-    _hidden = ("copies",)
+    __slots__ = ()
 
-    base: int
-    length: int
-    modulus: int
-    copies: tuple[tuple[int, ...], ...]
-
-    def __init__(self, base: int, length: int, modulus: int, copies: tuple) -> None:
+    def __new__(cls, base: int, length: int, modulus: int, copies: tuple) -> Seed:
         if not copies:
             raise ValueError("seed needs at least one polynomial copy")
-        widths = {len(c) for c in copies}
-        if len(widths) != 1:
+        if len({len(c) for c in copies}) != 1:
             raise ValueError("all polynomial copies must share one degree")
-        super().__init__(base, length, modulus, copies)
+        return super().__new__(cls, base, length, modulus, copies)
+
+    @classmethod
+    def _make(cls, iterable) -> Seed:  # and so _replace: tuple.__new__ would skip the checks
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # Copies and unpickled seeds, under every pickle protocol, go
+        # through __new__'s checks (protocols 0 and 1 would skip them).
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Seed(base={self.base!r}, length={self.length!r}, modulus={self.modulus!r})"
 
     @property
     def kappa(self) -> int:
@@ -155,10 +167,8 @@ class Seed(Record, frozen=True):
         return eval_poly(self.copies[j], x, self.modulus) & 1
 
 
-class SeedSet(Record):
+class SeedSet(NamedTuple):
     """Seeds for every odd phase ``1, 3, ..., 2k - 1`` of one engine run."""
-
-    __slots__ = ("k", "n", "phases")
 
     k: int
     n: int
@@ -189,7 +199,7 @@ def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
     ascending order from one stream, so the seeds of the first phases do not
     depend on ``k``.
     """
-    k, n = _as_int(k, "k", 1), _as_int(n, "n", 2)
+    k, n = _as_int(k, "k", 1), _as_int(n, "n", 2, sys.maxsize)
     # random.Random would hash a str, draw from the OS for None and drop a sign.
     draw = random.Random(_as_int(rng_seed, "seed", 0)).getrandbits
     phases: dict[int, Seed] = {}

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from ._record import Record
 from .graph import _as_int
 
 __all__ = ["TailEstimate", "tail_ccdf"]
@@ -28,14 +27,12 @@ __all__ = ["TailEstimate", "tail_ccdf"]
 _FIT_FLOOR_COUNT = 10
 
 
-class TailEstimate(Record, frozen=True):
+class TailEstimate(NamedTuple):
     """Empirical ``Pr[size >= N]`` for N in 1..max size, plus a log-linear fit.
 
     ``slope``, ``intercept`` and ``r_squared`` are None when fewer than two
     points are carried by at least 10 samples.
     """
-
-    __slots__ = ("samples", "points", "slope", "intercept", "r_squared")
 
     samples: int
     points: tuple[tuple[int, float], ...]

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -142,6 +143,33 @@ def test_materialize_huge_declared_vertex_count(tmp_path, capsys):
     assert out[0] == "0 1"
     assert "size=1" in out
     assert "no_short_augmenting_path=true" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["query", "--graph", "{graph}", "--eps", "1", "--edge", "0 1"],
+    ["bench", "--n", str(10**30), "--d", "3", "--eps", "0.5"],
+])
+def test_vertex_count_past_maxsize_is_an_error_not_a_traceback(tmp_path, command):
+    # Unrefused, the query drew about 31.8M seed coefficients and the bench
+    # overflowed a list size.  The child runs under a 1 GiB address cap.
+    f = tmp_path / "vast.txt"
+    f.write_text(f"{10**300} 1 1\n0 1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "sys.path.insert(0, sys.argv[1]); "
+        "from lcamatch.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    args = [a.format(graph=f) for a in command]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "vertex count must be at most" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_materialize_records(p4_file, capsys):

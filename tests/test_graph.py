@@ -1,6 +1,7 @@
 import copy
 import io
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from lcamatch.graph import Graph, GraphFormatError, dump_graph, gen_random_bounded, load_graph, mk_edge
 from lcamatch.lca import Engine
+from lcamatch.ordering import init_seeds
 from lcamatch.oracles import find_augmenting_path, verify_matching
 
 
@@ -199,6 +201,23 @@ def test_graph_is_a_frozen_hashable_record():
     assert g.vertex_count == 16 and g.edge_count == twin.edge_count
     # Copies and pickles are rebuilt through the constructor.
     assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
+
+
+def test_vertex_counts_past_maxsize_are_refused():
+    # Vertex ids index a tuple; past sys.maxsize none can, and the seed
+    # size, which grows with (log n)^2, is refused before it is drawn.
+    for n in (sys.maxsize + 1, 10**300):
+        with pytest.raises(ValueError, match="vertex count must be at most"):
+            Graph.from_edges(n, 1, [(0, 1)])
+        with pytest.raises(ValueError, match="vertex count must be at most"):
+            gen_random_bounded(n, 3, 0)
+        with pytest.raises(ValueError, match="n must be at most"):
+            init_seeds(1, n, 0)
+        with pytest.raises(GraphFormatError, match="^line 2: vertex count"):
+            load_graph(io.StringIO(f"# header next\n{n} 1 1\n0 1\n"))
+    # The bound refuses nothing that runs: n = sys.maxsize builds and answers.
+    g = Graph.from_edges(sys.maxsize, 1, [(0, 1)])
+    assert Engine(g, k=1).query((0, 1)) is True
 
 
 def test_mk_edge_orders_endpoints():

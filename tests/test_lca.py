@@ -1,6 +1,8 @@
 import collections
+import copy
 import hashlib
 import importlib.util
+import pickle
 import random
 import time
 from pathlib import Path
@@ -15,6 +17,7 @@ import lcamatch.oracles as oracles
 from lcamatch.graph import Graph, gen_random_bounded
 from lcamatch.lca import BudgetExceededError, Engine, Stats
 from lcamatch.ordering import init_seeds, rank
+from lcamatch.querytree import tail_ccdf
 from lcamatch.oracles import (
     abstract_distributed_mm,
     augmenting_paths,
@@ -279,7 +282,8 @@ def test_partner_is_the_mate_in_each_phase_matching():
                 partner[u], partner[v] = v, u
             assert partner
             for v in range(g.vertex_count):
-                assert eng._run(lambda: eng._partner(v, ell)) == partner.get(v, -1)
+                eng.last_stats = Stats()  # the record a public call would start
+                assert eng._partner(v, ell) == partner.get(v, -1)
 
 
 def test_full_matching_properties():
@@ -393,6 +397,32 @@ def test_stats_records_share_no_containers():
     a.relevant_set_sizes.append(2)
     assert b == Stats() != a
     assert Stats(f_by_phase={1: 3}, relevant_set_sizes=[2]) == a
+
+
+def test_records_copy_pickle_and_repr():
+    g = gen_random_bounded(16, 3, 1)
+    seeds = init_seeds(2, 16, 3)
+    seed = seeds.phase(3)
+    eng = Engine(g, k=2, seeds=seeds)
+    eng.query(g.sorted_edges()[0])
+    assert eng.last_stats.f > 0
+    for record in (g, seed, seeds, tail_ccdf([1, 2, 2, 3]), eng.last_stats):
+        twins = [copy.copy(record), copy.deepcopy(record)]
+        twins += [pickle.loads(pickle.dumps(record, p)) for p in (0, pickle.DEFAULT_PROTOCOL)]
+        for twin in twins:
+            assert type(twin) is type(record) and twin == record
+
+    # Unpickling calls what the seed reduces to, so a pickle whose copies
+    # differ in degree is refused like a direct call.
+    class Forged:
+        def __reduce__(self):
+            rebuild, args = seed.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[:2]
+            return rebuild, tuple(((1, 2), (3,)) if a is seed.copies else a for a in args)
+
+    with pytest.raises(ValueError, match="one degree"):
+        pickle.loads(pickle.dumps(Forged()))
+    assert "copies" not in repr(seed) and f"modulus={seed.modulus}" in repr(seed)
+    assert "f=0" in repr(Stats())
 
 
 def test_malformed_edge_and_phase_raise_value_error():

@@ -89,6 +89,15 @@ def test_seed_and_seed_set_are_records():
         hash(ss)
 
 
+def test_seed_replace_and_make_keep_the_checks():
+    s = init_seeds(1, 8, 3).phase(1)
+    assert s._replace(modulus=7) == Seed(s.base, s.length, 7, s.copies)
+    with pytest.raises(ValueError, match="one degree"):
+        s._replace(copies=((1, 2), (3,)))
+    with pytest.raises(ValueError, match="at least one"):
+        Seed._make((8, 1, 257, ()))
+
+
 def test_seed_shape_matches_construction():
     n = 50
     ss = init_seeds(2, n, 1)

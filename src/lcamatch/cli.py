@@ -13,12 +13,11 @@ or --seed-blob.  Only query and materialize take --seed-blob: bench draws
 graphs of several sizes, so no one seed set fits it.  Answers go to stdout;
 query --verbose writes its work record to stderr.
 
-Work counters (query --verbose, bench records): ``f`` counts augmenting-path
-checks, the budgeted unit.  Path enumeration keeps only paths that alternate
-between unmatched and matched edges, so each check is made on such a
-candidate and settles whether its two ends are free; phase 1 counts one
-check per edge it decides plus one per adjacent edge.  Each greedy-MIS
-decision computed for an augmenting path has a size: 1 plus the
+Work counters (query --verbose, bench records): ``f`` counts work units, the
+budgeted unit: one per question about a vertex's partner after some phase,
+memoized or not, and one per phase-1 decision computed.  Path enumeration
+asks a partner at every matched step, so ``f`` bounds a query's time.  Each
+greedy-MIS decision computed for an augmenting path has a size: 1 plus the
 lower-ranked augmenting neighbours it scanned before it was settled.
 
 query --verbose prints one JSON object: ``f``, ``f_by_phase``, ``decisions``
@@ -277,8 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, BudgetExceededError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphFormatError, BudgetExceededError, ValueError, OSError, MemoryError) as exc:
+        # A MemoryError from a failed allocation usually has no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -39,11 +39,11 @@ end test asks both ends at phase 1, 3, ... and stops at the first matched
 one, a partner scan tries the previous phase's partner first, and a free
 vertex, which can only end a path, anchors only the paths it ends.
 
-Work is bounded by a per-query budget on augmenting-path checks: one per
-alternating candidate, which settles whether its two ends are free, and at
-phase 1 one for the edge plus one per adjacent edge.  A query that would
-exceed the budget raises :class:`BudgetExceededError` rather than returning
-a guess, so answers are never wrong, merely refused.
+Work is bounded by a per-query budget of units: one per partner question,
+memoized or not, and one per phase-1 decision computed.  The path search asks
+a partner at every matched step, so the budget bounds time.  A query that
+would exceed it raises :class:`BudgetExceededError` rather than returning a
+guess, so answers are never wrong, merely refused.
 
 A path is the plain canonical tuple of its vertices (see
 :mod:`lcamatch.paths`).  Its length is its phase, so the tuple alone keys
@@ -84,16 +84,15 @@ class BudgetExceededError(RuntimeError):
 class Stats:
     """The work record of one public call, live while the call runs.
 
-    ``f`` counts augmenting-path checks (the budgeted unit of work), made
-    only on alternating candidates; a phase-1 decision for edge ``(u, v)``
-    counts ``deg(u) + deg(v) - 1``, one for the edge and one per adjacent
-    edge.  A refused query stops at ``f == budget + 1``.  ``f_by_phase``
-    splits the count by phase length, and ``relevant_set_sizes`` has one
-    entry per greedy-MIS decision computed for an augmenting path during the
-    query: 1 plus the number of lower-ranked augmenting neighbours that
-    decision scanned.  The engine counts work and keeps no clock; a caller
-    times its own calls.  Fields go by position or keyword; ``Stats()``
-    starts at zero with fresh containers.
+    ``f`` counts work units, the budgeted unit: one per partner question
+    (memoized or not) and one per phase-1 decision computed.  A refused
+    query stops at ``f == budget + 1``.  ``f_by_phase`` splits the count by
+    phase: 1 for a phase-1 decision, ``ell + 2`` for a partner after
+    ``ell``.  ``relevant_set_sizes`` has one entry per greedy-MIS decision
+    computed for an augmenting path during the query: 1 plus the number of
+    lower-ranked augmenting neighbours that decision scanned.  The engine
+    counts work and keeps no clock; a caller times its own calls.  Fields go
+    by position or keyword; ``Stats()`` starts at zero with fresh containers.
     """
 
     __slots__ = ("f", "f_by_phase", "relevant_set_sizes")
@@ -166,7 +165,9 @@ class Engine:
         given; defaults to 0.
         Giving both is an error.
     budget:
-        Max augmenting-path checks per top-level query.
+        Max work units (``Stats.f``) per public call.  One unit took 2-18
+        microseconds on a 2-vCPU VM (d = 3-4, k = 2-10), so the default is
+        seconds of work.
     cache_mode:
         ``"shared"`` keeps memoized answers across queries, ``"per_query"``
         clears them at each public call.  Both keep the path ranks and the
@@ -322,12 +323,11 @@ class Engine:
         cached = self._mis1.get(e)
         if cached is not None:
             return cached
-        adj = self.graph.adjacency
-        u, v = e
-        # One check for e and one per adjacent edge, as at later phases.
-        self._charge(1, len(adj[u]) + len(adj[v]) - 1)
+        self._charge(1)
         lower = self._lower.get(e)
         if lower is None:
+            adj = self.graph.adjacency
+            u, v = e
             rank_of = self._rank
             e_rank = rank_of(e)
             ranks = [
@@ -381,30 +381,28 @@ class Engine:
         # p alternates: every path reaching here came from an enumerator
         # under _alternating(ell).  So only its two ends are left to check,
         # free after ell - 2: cheap low phases first, as matched stays matched.
-        self._charge(ell, 1)
         partner = self._partner
         for j in range(1, ell - 1, 2):
             if partner(p[0], j) >= 0 or partner(p[-1], j) >= 0:
                 return False
         return True
 
-    def _charge(self, ell: int, checks: int) -> None:
-        # A refused query stops at f == budget + 1, however many checks
-        # this step would have made.
+    def _charge(self, ell: int) -> None:
+        # One unit per call, so a refused query stops at f == budget + 1.
         stats = self.last_stats
-        checks = min(checks, self.budget + 1 - stats.f)
-        stats.f += checks
-        stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + checks
+        stats.f += 1
+        stats.f_by_phase[ell] = stats.f_by_phase.get(ell, 0) + 1
         if stats.f > self.budget:
             raise BudgetExceededError(
-                f"query exceeded budget of {self.budget} augmenting-path checks",
-                stats,
+                f"query exceeded budget of {self.budget} work units", stats
             )
 
     def _partner(self, v: int, ell: int) -> int:
         # The neighbour u with (v, u) in the matching after phase ell, or
         # -1.  A matching has at most one, so the order cannot change it: a
         # flip keeps most partners, so v's partner after ell - 2 goes first.
+        # Every question costs a unit, memo hit or not: this bounds the search.
+        self._charge(ell + 2)
         key = (v, ell)
         cached = self._memo.get(key)
         if cached is not None:

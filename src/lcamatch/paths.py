@@ -30,8 +30,9 @@ def _grow(
     # Append `steps` edges after path[-1], then `later` before path[0] by
     # growing the reversed list, and emit each finished path.  The next edge
     # sits at position len(path) + later, counted from path[0]'s side; for an
-    # odd length its parity is the same from either side.  Paths hold a
-    # phase length's few vertices, so `not in path` scans a short list.
+    # odd length its parity is the same from either side.  `path` holds an
+    # edge, so an unmatched step from x follows x's matched edge and `not in
+    # path` (a short scan) excludes x's partner: only matched steps ask mate.
     if steps == 0:
         if later:
             _grow(g, mate, path[::-1], later, 0, out)
@@ -40,15 +41,15 @@ def _grow(
             out.append(min(seq, seq[::-1]))
         return
     x = path[-1]
-    m = mate(x)
     if (len(path) + later) % 2 == 0:
+        m = mate(x)
         if m >= 0 and m not in path:
             path.append(m)
             _grow(g, mate, path, steps - 1, later, out)
             path.pop()
         return
     for w in g.adjacency[x]:
-        if w != m and w not in path:
+        if w not in path:
             path.append(w)
             _grow(g, mate, path, steps - 1, later, out)
             path.pop()
@@ -99,9 +100,9 @@ def iter_intersecting(
     """
     length = len(p) - 1
     _check_length(length)
-    # A path through v holds it f < length / 2 steps from exactly one end, so
-    # growing f <= length // 2 steps before v reaches the path once; a free v
-    # grows f == 0 only.  Its first step is taken here, v's mate in hand.
+    # A path ending at v leaves it by an unmatched edge, taken here with v's
+    # mate in hand; a path through a matched v holds v's matched edge and
+    # grows around it as in paths_through_edge.  A free v only ends paths.
     out: list[tuple[int, ...]] = []
     for v in p:
         m = mate(v)
@@ -109,8 +110,8 @@ def iter_intersecting(
             if w != m:
                 _grow(g, mate, [v, w], length - 1, 0, out)
         if m >= 0:
-            for front_steps in range(1, length // 2 + 1):
-                _grow(g, mate, [v], length - front_steps, front_steps, out)
+            for front_steps in range(1, length, 2):
+                _grow(g, mate, list(mk_edge(v, m)), length - 1 - front_steps, front_steps, out)
     found = set(out)
     found.discard(p)
     return iter(found)

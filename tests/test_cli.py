@@ -145,13 +145,19 @@ def test_materialize_huge_declared_vertex_count(tmp_path, capsys):
     assert "no_short_augmenting_path=true" in out
 
 
-@pytest.mark.parametrize("command", [
-    ["query", "--graph", "{graph}", "--eps", "1", "--edge", "0 1"],
-    ["bench", "--n", str(10**30), "--d", "3", "--eps", "0.5"],
+@pytest.mark.parametrize("command, message", [
+    pytest.param(["query", "--graph", "{graph}", "--eps", "1", "--edge", "0 1"],
+                 "vertex count must be at most", id="command0"),
+    pytest.param(["bench", "--n", str(10**30), "--d", "3", "--eps", "0.5"],
+                 "vertex count must be at most", id="command1"),
+    pytest.param(["bench", "--n", str(sys.maxsize), "--d", "3", "--eps", "0.5"],
+                 "out of memory", id="command2"),
 ])
-def test_vertex_count_past_maxsize_is_an_error_not_a_traceback(tmp_path, command):
+def test_vertex_count_past_maxsize_is_an_error_not_a_traceback(tmp_path, command, message):
     # Unrefused, the query drew about 31.8M seed coefficients and the bench
-    # overflowed a list size.  The child runs under a 1 GiB address cap.
+    # overflowed a list size.  n = sys.maxsize passes the bound, but the
+    # generator's degree list cannot be allocated.  The child runs under a
+    # 1 GiB address cap.
     f = tmp_path / "vast.txt"
     f.write_text(f"{10**300} 1 1\n0 1\n")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -168,7 +174,7 @@ def test_vertex_count_past_maxsize_is_an_error_not_a_traceback(tmp_path, command
     )
     assert time.perf_counter() - start < 10
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "vertex count must be at most" in proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -217,15 +223,15 @@ def test_bench_deterministic(capsys):
 
 def test_bench_counts_refused_queries(capsys):
     rc = main(["bench", "--n", "1024", "--d", "3", "--eps", "0.34", "--trials", "1",
-               "--queries", "50", "--budget", "100", "--rng-seed", "1"])
+               "--queries", "50", "--budget", "40", "--rng-seed", "1"])
     assert rc == 0
     out = capsys.readouterr().out
     assert '"tail_slope": null' in out
     (r,) = [json.loads(line) for line in out.splitlines()]
     assert r["k"] == 3
     assert r["queries"] == r["refused"] == 50
-    # A refused query spends budget + 1 checks and counts in f_mean/f_max ...
-    assert r["f_mean"] == r["f_max"] == 101
+    # A refused query spends budget + 1 units and counts in f_mean/f_max ...
+    assert r["f_mean"] == r["f_max"] == 41
     # ... but not in the decision tail.
     assert r["decisions_max"] == 0
     assert r["tail_slope"] is None and r["tail_r_squared"] is None

@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import pickle
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -238,6 +240,37 @@ def test_budget_exhaustion_raises():
     assert ok.materialize() == abstract_distributed_mm(g, 2, eng.seeds)
 
 
+_LONG_PHASE_QUERY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.path.insert(0, sys.argv[1])
+from lcamatch import DEFAULT_BUDGET, BudgetExceededError, Engine, gen_random_bounded
+eng = Engine(gen_random_bounded(64, 3, 1), eps=0.05, rng_seed=0)
+assert eng.k == 20 and eng.budget == DEFAULT_BUDGET
+try:
+    eng.query((0, 34))
+except BudgetExceededError as exc:
+    assert exc.stats.f == eng.budget + 1, exc.stats.f
+    print("refused")
+"""
+
+
+def test_default_budget_bounds_a_long_phase_query():
+    # At k=20 the enumeration behind one candidate path can run for minutes,
+    # so the budget counts the partner questions the search asks, not the
+    # candidates: the default budget refuses this query within seconds.
+    # The child runs under a 1 GiB address cap.
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LONG_PHASE_QUERY, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+    assert time.perf_counter() - start < 10
+
+
 def test_phase_sizes_never_shrink():
     rng = random.Random(40)
     deepest = 0
@@ -385,7 +418,7 @@ def test_materialize_memo_sizes_are_pinned():
     # key that lost its phase would merge decisions and move these counts.
     eng = Engine(gen_random_bounded(2048, 3, 7), k=3, rng_seed=3)
     eng.materialize()
-    assert (len(eng._memo), len(eng._mis1)) == (20_677, 3_047)
+    assert (len(eng._memo), len(eng._mis1)) == (20_674, 3_047)
 
 
 def test_stats_records_share_no_containers():
@@ -548,7 +581,7 @@ def test_per_query_refusals_do_not_depend_on_query_order():
     edges = random.Random(12).sample(g.sorted_edges(), 80)
     refused_sets = []
     for order in (edges, edges[::-1]):
-        eng = Engine(g, k=3, seeds=ss, cache_mode="per_query", budget=3000)
+        eng = Engine(g, k=3, seeds=ss, cache_mode="per_query", budget=1500)
         refused = set()
         for e in order:
             try:
@@ -581,7 +614,7 @@ def test_phase1_table_does_not_depend_on_query_history():
         return answer, s.f, sorted(s.f_by_phase.items()), len(sizes), sum(sizes)
 
     records = []
-    for budget in (800, 3000):
+    for budget in (300, 1000):
         eng = Engine(g, k=3, seeds=ss, budget=budget, cache_mode="per_query")
         forward = [run(eng, e) for e in sample]
         backward = [run(eng, e) for e in reversed(sample)][::-1]
@@ -596,13 +629,14 @@ def test_phase1_table_does_not_depend_on_query_history():
     # went through the general path search; f re-derived when the path search
     # began to follow partners, whose scan stops at the matched edge, and
     # again when the end test began at phase 1 and the partner scan at the
-    # previous phase's partner.
-    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "68d9549df2f7b9e6"
+    # previous phase's partner, and again when f became one unit per partner
+    # question and per phase-1 decision.
+    assert hashlib.sha256(repr(records).encode()).hexdigest()[:16] == "0c721a666f86c21c"
 
 
 # sha256 of repr(fs), the per-query f over the 50-edge sample, by n: sum
-# 41,626, max 4,074 at n=1024; sum 5,311, max 667 at n=4096.
-_PINNED_F_DIGESTS = {1024: "07bb591994e031e1", 4096: "cfea58be14b1129b"}
+# 17,726, max 2,078 at n=1024; sum 1,590, max 258 at n=4096.
+_PINNED_F_DIGESTS = {1024: "a702c21ac3306f4e", 4096: "8751f771248e76ad"}
 
 
 @pytest.mark.parametrize(

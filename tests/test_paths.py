@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcamatch.graph import gen_random_bounded
+from lcamatch.graph import gen_random_bounded, mk_edge
 from lcamatch.paths import _grow, iter_intersecting, paths_through_edge
 
 from conftest import (
@@ -232,16 +232,21 @@ def test_free_anchor_grows_only_the_split_it_ends():
                 counted, asked = _asks(mate)
                 out = set(iter_intersecting(g, p, mate=counted))
                 assert out == {q for q in every if q != p and set(q) & set(p)}
-                expected, every_split = [], []
+                # Each vertex is asked once; it grows the paths it ends from
+                # its unmatched edges, and, if matched, the splits around its
+                # matched edge.  A free vertex has no such edge, so it grows
+                # only the paths it ends.
+                expected = []
                 for v in p:
-                    splits = range(length // 2 + 1)
-                    for f in splits if mate(v) >= 0 else splits[:1]:
-                        expected += _split_asks(g, mate, [v], length - f, f)
-                    for f in splits:
-                        every_split += _split_asks(g, mate, [v], length - f, f)
+                    m = mate(v)
+                    expected.append(v)
+                    for w in g.adjacency[v]:
+                        if w != m:
+                            expected += _split_asks(g, mate, [v, w], length - 1, 0)
+                    if m >= 0:
+                        for f in range(1, length, 2):
+                            expected += _split_asks(g, mate, mk_edge(v, m), length - 1 - f, f)
                 assert collections.Counter(asked) == collections.Counter(expected)
-                if length > 1:
-                    assert len(asked) < len(every_split)
                 intersecting += 1
     assert through > 0 and intersecting > 0
 

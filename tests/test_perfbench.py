@@ -30,7 +30,7 @@ def test_names_perfbench_reads_by_lookup_exist():
     assert len(eng._ranks) > 0  # ordering.rank_cache_entries
     # run.py reads last_stats after a refusal too: it must be the refused
     # call's record, not the previous answer's.
-    budget = 300
+    budget = 150
     eng = Engine(g, k=3, rng_seed=1, budget=budget, cache_mode="per_query")
     outcomes = set()
     for e in g.sorted_edges():

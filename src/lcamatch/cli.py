@@ -22,7 +22,9 @@ lower-ranked augmenting neighbours it scanned before it was settled.
 
 query --verbose prints one JSON object: ``f``, ``f_by_phase``, ``decisions``
 (the MIS decisions the query made), ``relevant_max`` (their largest size)
-and ``wall_time`` (seconds, timed around the call by the CLI).
+and ``wall_time`` (seconds, timed around the call by the CLI).  A query the
+budget refuses prints its record too, with ``f == budget + 1``, before the
+error line.
 
 bench prints one JSON record per trial.  It samples ``--queries`` edges per
 trial, each queried with a fresh per-query memo.  A query that ``--budget``
@@ -106,17 +108,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     engine = _build_engine(args, g)
     start = time.perf_counter()
-    answer = engine.query(args.edge)
-    wall_time = time.perf_counter() - start
-    print("true" if answer else "false")
-    if args.verbose:
-        import json  # a plain query starts without it
-
+    try:
+        answer = engine.query(args.edge)
+    finally:
+        # A refused query's record too, ahead of main's error line; an
+        # invalid edge leaves none.
+        wall_time = time.perf_counter() - start
         s = engine.last_stats
-        sizes = s.relevant_set_sizes
-        record = {"f": s.f, "f_by_phase": s.f_by_phase, "decisions": len(sizes),
-                  "relevant_max": max(sizes, default=0), "wall_time": wall_time}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        if args.verbose and s is not None:
+            import json  # a plain query starts without it
+
+            sizes = s.relevant_set_sizes
+            record = {"f": s.f, "f_by_phase": s.f_by_phase, "decisions": len(sizes),
+                      "relevant_max": max(sizes, default=0), "wall_time": wall_time}
+            print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    print("true" if answer else "false")
     return 0
 
 

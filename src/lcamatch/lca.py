@@ -49,9 +49,10 @@ A path is the plain canonical tuple of its vertices (see
 :mod:`lcamatch.paths`).  Its length is its phase, so the tuple alone keys
 its rank and its greedy decision.
 
-Memo lifetimes: with ``cache_mode="per_query"`` each public call starts with
-empty decision memos; the path ranks and the phase-1 lists of lower
-neighbours are kept, since neither depends on an earlier decision.
+Memo lifetimes: one memo holds every decision, an edge's membership at each
+phase among them.  With ``cache_mode="per_query"`` each public call starts
+with it empty; the path ranks and the phase-1 lists of lower neighbours are
+kept, since neither depends on an earlier decision.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ class Engine:
         microseconds on a 2-vCPU VM (d = 3-4, k = 2-10), so the default is
         seconds of work.
     cache_mode:
-        ``"shared"`` keeps memoized answers across queries, ``"per_query"``
-        clears them at each public call.  Both keep the path ranks and the
+        ``"shared"`` keeps the decision memo across queries, ``"per_query"``
+        clears it at each public call.  Both keep the path ranks and the
         phase-1 table of rank-sorted lower neighbours, which depend only on
         the graph and the seeds.  Both return identical answers, and
         ``per_query`` work does not depend on earlier queries.
@@ -215,13 +216,12 @@ class Engine:
         self.budget = budget
         self.cache_mode = cache_mode
         self.last_stats: Stats | None = None
-        # per_query clears _memo (phases 3 and up) and _mis1 (phase 1) only;
-        # _ranks and _lower depend on nothing but the graph and the seeds.
-        # _memo holds three kinds of decision, told apart by key shape: edge
-        # membership under ((u, v), ell), a vertex's partner under (v, ell),
-        # and a path's greedy pick under the path itself, at least 4 ints.
+        # per_query clears _memo only; _ranks and _lower depend on nothing
+        # but the graph and the seeds.  _memo holds three kinds of decision,
+        # told apart by key shape: edge membership at every phase under
+        # ((u, v), ell), a vertex's partner under (v, ell), and a path's
+        # greedy pick under the path itself, at least 4 ints.
         self._memo: dict[tuple, bool | int] = {}
-        self._mis1: dict[tuple[int, int], bool] = {}
         self._ranks: dict[tuple[int, ...], Rank] = {}
         self._lower: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
@@ -239,27 +239,25 @@ class Engine:
         """Membership of ``edge`` in the matching after phase ``ell``.
 
         The engine's one checked entry; ``query`` is its top phase, and
-        ``last_stats`` is this call's record from its start.  ``ell`` is -1
-        (the empty matching before phase 1, answered False without
-        recursing) or odd in ``1..2k-1``.  Every other per-phase fact
-        follows from this one: phase ``ell`` picked a path ``p`` of ``ell``
-        edges iff every edge of ``p`` changes membership between ``ell - 2``
-        and ``ell``; ``p`` augments the matching after ``ell - 2`` iff it
-        alternates against it with both ends free; and vertex ``v`` is free
-        after phase ``ell`` iff no edge at ``v`` is in.
+        ``last_stats`` is this call's record from its start.  ``ell`` is odd
+        in ``1..2k-1``, and the matching before phase 1 is empty.  Every
+        other per-phase fact follows from this one: phase ``ell`` picked a
+        path ``p`` of ``ell`` edges iff every edge of ``p`` changes
+        membership between ``ell - 2`` and ``ell``; ``p`` augments the
+        matching after ``ell - 2`` iff it alternates against it with both
+        ends free; and vertex ``v`` is free after phase ``ell`` iff no edge
+        at ``v`` is in.
         """
         e = self._check_edge(edge)
         ell = _as_int(ell, "phase length")
-        if ell != -1 and ell not in range(1, 2 * self.k, 2):
+        if ell not in range(1, 2 * self.k, 2):
             raise ValueError(
-                f"phase length must be -1, or odd and within 1..{2 * self.k - 1}, "
-                f"got {ell}"
+                f"phase length must be odd and within 1..{2 * self.k - 1}, got {ell}"
             )
         if self.cache_mode == "per_query":
             self._memo.clear()
-            self._mis1.clear()
         self.last_stats = Stats()
-        return ell != -1 and self._in_matching(e, ell)
+        return self._in_matching(e, ell)
 
     # -- validation -------------------------------------------------------
 
@@ -280,22 +278,21 @@ class Engine:
     # -- budgeted recursion ------------------------------------------------
 
     def _in_matching(self, e: tuple[int, int], ell: int) -> bool:
-        # ell is odd in 1..2k-1: the public probe answers -1 itself.
-        if ell == 1:
-            return self._edge_in_mis(e)
+        # The one owner of edge decisions, at every phase.
         key = (e, ell)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        below = self._in_matching(e, ell - 2)
-        flipped = False
-        # At most one chosen path can contain e (chosen paths are disjoint),
-        # so the first hit settles it.
-        for p in paths_through_edge(self.graph, e, ell, mate=self._alternating(ell)):
-            if self._path_in_mis(p, ell):
-                flipped = True
-                break
-        res = below != flipped
+        if ell == 1:
+            res = self._edge_in_mis(e)
+        else:
+            res = self._in_matching(e, ell - 2)
+            # At most one chosen path can contain e (chosen paths are
+            # disjoint), so the first hit flips it.
+            for p in paths_through_edge(self.graph, e, ell, mate=self._alternating(ell)):
+                if self._path_in_mis(p, ell):
+                    res = not res
+                    break
         self._memo[key] = res
         return res
 
@@ -319,10 +316,7 @@ class Engine:
 
     def _edge_in_mis(self, e: tuple[int, int]) -> bool:
         # Greedy maximal matching: e is in unless an adjacent edge ranked
-        # below it is, visited in ascending rank.
-        cached = self._mis1.get(e)
-        if cached is not None:
-            return cached
+        # below it is, visited in ascending rank.  _in_matching memoizes it.
         self._charge(1)
         lower = self._lower.get(e)
         if lower is None:
@@ -343,11 +337,10 @@ class Engine:
         scanned = 0
         for q in lower:
             scanned += 1
-            if self._edge_in_mis(q):
+            if self._in_matching(q, 1):
                 res = False
                 break
         self.last_stats.relevant_set_sizes.append(1 + scanned)
-        self._mis1[e] = res
         return res
 
     def _path_in_mis(self, p: tuple[int, ...], ell: int) -> bool:

@@ -50,6 +50,11 @@ MERSENNE_61 = (1 << 61) - 1
 
 _FOLD_MULT = 0x9E3779B97F4A7C15
 
+# The most coefficients one seed set may draw, at about 58 bytes each: any
+# draw stays under about 250 MB.  A 64-vertex graph at its largest k, 32,
+# needs 608,256; n=4096 passes up to k=42.
+_MAX_SEED_COEFFS = 1 << 22
+
 # Miller-Rabin with these witnesses is exact for every n below 3.3 * 10**24,
 # which covers all moduli drawn here (below 2^61).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -197,14 +202,24 @@ def init_seeds(k: int, n: int, rng_seed: int) -> SeedSet:
     Phase ``ell`` gets ``4 * ceil(log2(n ** (ell + 1)))`` polynomial copies of
     ``kappa = ceil(4 * log2(n))`` coefficients each.  Phases are drawn in
     ascending order from one stream, so the seeds of the first phases do not
-    depend on ``k``.
+    depend on ``k``.  A set of more than ``2 ** 22`` coefficients is refused
+    before any is drawn.
     """
     k, n = _as_int(k, "k", 1), _as_int(n, "n", 2, sys.maxsize)
     # random.Random would hash a str, draw from the OS for None and drop a sign.
     draw = random.Random(_as_int(rng_seed, "seed", 0)).getrandbits
-    phases: dict[int, Seed] = {}
+    shapes: dict[int, tuple[int, int, int]] = {}
+    count = 0
     for ell in range(1, 2 * k, 2):
-        modulus, copy_count, kappa = _phase_shape(n, ell)
+        shapes[ell] = modulus, copy_count, kappa = _phase_shape(n, ell)
+        count += copy_count * kappa
+        if count > _MAX_SEED_COEFFS:  # stop counting: k may be vast
+            raise ValueError(
+                f"seed set for k={k}, n={n} needs at least {count} coefficients, "
+                f"over the limit of {_MAX_SEED_COEFFS}"
+            )
+    phases: dict[int, Seed] = {}
+    for ell, (modulus, copy_count, kappa) in shapes.items():
         # randrange(modulus)'s own loop without its per-call overhead: draw
         # modulus.bit_length() bits until the value is below modulus.
         draws = map(draw, repeat(modulus.bit_length()))

@@ -71,6 +71,24 @@ def test_query_verbose_stats_on_stderr(g64_file, capsys):
     assert record["wall_time"] > 0
 
 
+def test_query_verbose_prints_a_refused_querys_record(g64_file, capsys):
+    # The record BudgetExceededError carries goes to stderr before the
+    # error line; an edge outside the graph has no record to print.
+    rc = main(["query", "--graph", g64_file, "--eps", "0.5", "--edge", "0 34",
+               "--rng-seed", "0", "--budget", "20", "--verbose"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, error = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["f"] == 21 == sum(record["f_by_phase"].values())
+    assert error == "error: query exceeded budget of 20 work units"
+    rc = main(["query", "--graph", g64_file, "--eps", "0.5", "--edge", "0 1",
+               "--budget", "20", "--verbose"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: edge (0, 1) not in graph\n"
+
+
 def test_query_rejects_unknown_edge(p4_file, capsys):
     rc = main(["query", "--graph", p4_file, "--eps", "1.0",
                "--edge", "0 3", "--rng-seed", "0"])
@@ -176,6 +194,50 @@ def test_vertex_count_past_maxsize_is_an_error_not_a_traceback(tmp_path, command
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_CAPPED_SEED_DRAW = """
+import re, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.path.insert(0, sys.argv[1])
+from lcamatch.cli import main
+from lcamatch.ordering import init_seeds
+if sys.argv[2] == "library":
+    try:
+        init_seeds(1000, 4096, 0)
+        rc = 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        rc = 1
+else:
+    rc = main(sys.argv[2:])
+print(re.search(r"VmHWM:\\s*(\\d+) kB", open("/proc/self/status").read()).group(1))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("command", [["library"], ["query", "--graph", "{graph}",
+                                                   "--eps", "0.001", "--edge", "{edge}"]])
+def test_oversized_seed_set_is_refused_before_it_is_drawn(tmp_path, command):
+    # k=1000 at n=4096 is 2.3e9 coefficients, over 100 GB: drawn, it ends in
+    # MemoryError under the child's 1 GiB address cap.  Refused up front, it
+    # costs nothing.  VmHWM is the child's own peak RSS.
+    g = gen_random_bounded(4096, 3, 1)
+    f = tmp_path / "g4096.txt"
+    f.write_text(dump_graph(g))
+    args = [a.format(graph=f, edge="%d %d" % g.sorted_edges()[0]) for a in command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_SEED_DRAW, str(src), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: seed set for k=1000, n=4096 needs at least")
+    assert "coefficients" in proc.stderr and "Traceback" not in proc.stderr
+    assert int(proc.stdout) < 200 * 1024
 
 
 def test_materialize_records(p4_file, capsys):

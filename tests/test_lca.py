@@ -45,13 +45,6 @@ def materialize_phase(engine, ell):
     )
 
 
-def test_phase_minus_one_is_empty():
-    g = path_graph(4)
-    eng = Engine(g, k=2, rng_seed=0)
-    for e in g.sorted_edges():
-        assert eng.is_in_matching(e, -1) is False
-
-
 def test_k2_on_k2_graph():
     g = path_graph(2)
     for seed in range(4):
@@ -184,7 +177,7 @@ def test_path_in_mis_matches_global_for_every_path():
                 nodes = augmenting_paths(g, matching, ell)
                 s = ss.phases[ell]
                 chosen = greedy_mis(nodes, lambda p: rank(p, s))
-                before = materialize_phase(eng, ell - 2)
+                before = materialize_phase(eng, ell - 2) if ell > 1 else frozenset()
                 after = materialize_phase(eng, ell)
                 assert before == matching
                 matching = matching ^ {e for p in chosen for e in path_edges(p)}
@@ -413,12 +406,12 @@ def test_library_sizes_and_seeds_are_checked(call):
 
 
 def test_materialize_memo_sizes_are_pinned():
-    # One entry per decision: an edge's membership, a vertex's partner or a
-    # path's pick at phases 3 and up in _memo, a phase-1 edge in _mis1.  A
-    # key that lost its phase would merge decisions and move these counts.
+    # One entry per decision: an edge's membership at each phase, a vertex's
+    # partner or a path's pick.  A key that lost its phase would merge
+    # decisions and move this count.
     eng = Engine(gen_random_bounded(2048, 3, 7), k=3, rng_seed=3)
     eng.materialize()
-    assert (len(eng._memo), len(eng._mis1)) == (20_674, 3_047)
+    assert len(eng._memo) == 23_721
 
 
 def test_stats_records_share_no_containers():
@@ -472,18 +465,13 @@ def test_malformed_edge_and_phase_raise_value_error():
     for bad in (3.0, 1.5, "3", None):
         with pytest.raises(ValueError, match="phase length must be an integer"):
             eng.is_in_matching((0, 34), bad)
-    for bad in (0, 2, 2 * eng.k + 1):
+    for bad in (-1, 0, 2, 2 * eng.k + 1):
         with pytest.raises(ValueError, match="odd"):
             eng.is_in_matching((0, 34), bad)
     # numpy ints are integers.
     answer = eng.query((0, 34))
     assert eng.query((np.int64(0), np.int32(34))) == answer
     assert eng.is_in_matching((np.int64(34), 0), np.int64(3)) == answer
-    # The probe answers -1 at its boundary: nothing recurses or is memoized.
-    sizes = len(eng._memo), len(eng._mis1)
-    assert eng.is_in_matching((0, 34), -1) is False
-    assert (len(eng._memo), len(eng._mis1)) == sizes
-    assert eng.last_stats.f == 0
     # query is the top-phase probe.
     for e in g.sorted_edges():
         assert eng.query(e) == eng.is_in_matching(e, 2 * eng.k - 1)
